@@ -26,6 +26,11 @@ Registering a new model::
     )
     class MySimulator(MulticoreSimulator):
         ...
+
+A simulator must treat the workload it runs as read-only — the
+``Workload``, its traces, their ``Instruction`` objects and their
+``TraceBatch`` — because :func:`~repro.api.session.run_spec` hands one built
+workload to every back-to-back job on the same spec.
 """
 
 from __future__ import annotations

@@ -20,16 +20,28 @@ Design-space sweeps fan the same specs out across worker processes::
     specs = [session.spec().with_simulator(name) for name in ("interval", "detailed")]
     results = Session.run_batch(specs, workers=4)
 
-Batch execution is deterministic: each job rebuilds its workload from the
-spec's seed inside the worker, so the returned statistics are bit-identical
-to a sequential run of the same specs (modulo wall-clock time — compare with
+Batch execution is deterministic: each job's workload is a pure function of
+its :class:`~repro.api.spec.WorkloadSpec`, built in the process that runs the
+job, so the returned statistics are bit-identical to a sequential run of the
+same specs (modulo wall-clock time — compare with
 :meth:`repro.common.stats.SimulationStats.deterministic_dict`).
+
+Sweeps are built workload-major (one trace, many timing models or machine
+configurations), so :func:`run_spec` keeps a one-entry memo of the last built
+workload, keyed by the frozen ``WorkloadSpec``: back-to-back jobs on the same
+spec synthesize the trace once and share it, columnar batch included.  This
+is exact because no timing model, the multicore driver or the fault injector
+writes to a ``Workload``, ``ThreadTrace``, ``Instruction`` or ``TraceBatch``
+after it is built.  A miss drops the old entry before building, so at most one
+memoized workload is alive per process; that last workload, with its cached
+columns, stays alive after its jobs return, until the next miss replaces it.  :meth:`WorkloadSpec.build` itself is
+unchanged and still returns a fresh, caller-owned workload.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..common.config import MachineConfig, default_machine_config
 from ..common.stats import SimulationStats
@@ -41,6 +53,25 @@ from .spec import SweepSpec, WorkloadSpec
 
 __all__ = ["Session", "run_spec", "run_specs"]
 
+# The last workload run_spec built, with the spec it was built from.
+_last_workload: Optional[Tuple[WorkloadSpec, Workload]] = None
+
+
+def _memoized_workload(spec: WorkloadSpec) -> Workload:
+    """Return the workload for ``spec``, building it only on a memo miss."""
+    global _last_workload
+    # Read the entry once: a thread that replaces it between the key check
+    # and the return must not hand this caller another spec's workload.
+    entry = _last_workload
+    if entry is not None and entry[0] == spec:
+        return entry[1]
+    # Drop the old entry, this frame's reference included, before building,
+    # so two built workloads are never alive at once.
+    entry = _last_workload = None
+    workload = spec.build()
+    _last_workload = (spec, workload)
+    return workload
+
 
 def run_spec(spec: SweepSpec, registry: Optional[SimulatorRegistry] = None) -> RunResult:
     """Execute one job described by ``spec`` and package the result.
@@ -51,7 +82,7 @@ def run_spec(spec: SweepSpec, registry: Optional[SimulatorRegistry] = None) -> R
     """
     active_registry = registry if registry is not None else DEFAULT_REGISTRY
     simulator = active_registry.create(spec.simulator, spec.machine, **spec.options)
-    workload = spec.workload.build()
+    workload = _memoized_workload(spec.workload)
     stats = simulator.run(
         workload,
         max_cycles=spec.max_cycles,
@@ -75,8 +106,10 @@ def run_specs(
     With ``workers <= 1`` the jobs run sequentially in this process.  With
     more workers a :mod:`multiprocessing` pool executes them; results are
     returned in spec order either way, and the statistics are identical to
-    the sequential run because every worker rebuilds its workload from the
-    spec's seed (no shared mutable state crosses the process boundary).
+    the sequential run because every worker builds its workloads from their
+    specs (no shared mutable state crosses the process boundary).  Each
+    process memoizes only its last built workload (see the module docstring),
+    so workload-major spec orders synthesize each trace once per process.
     """
     jobs = list(specs)
     if workers <= 1 or len(jobs) <= 1:

@@ -44,6 +44,7 @@ Model overview
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 from dataclasses import dataclass
@@ -195,7 +196,10 @@ class SyntheticTraceGenerator:
         self._hot_functions = self._make_hot_functions()
         self._weights = self._mix_weights()
         self._classes = list(self._weights.keys())
-        self._class_weights = list(self._weights.values())
+        # Accumulated once: rng.choices(weights=...) would re-accumulate on
+        # every draw.  Both forms consume one random() per draw, so the
+        # stream is the same.
+        self._class_cum_weights = list(itertools.accumulate(self._weights.values()))
 
     # -- public API --------------------------------------------------------------
 
@@ -326,7 +330,9 @@ class SyntheticTraceGenerator:
 
     def _pick_class(self) -> InstructionClass:
         """Sample the next instruction class from the profile mix."""
-        return self._rng.choices(self._classes, weights=self._class_weights, k=1)[0]
+        return self._rng.choices(
+            self._classes, cum_weights=self._class_cum_weights, k=1
+        )[0]
 
     def _maybe_toggle_kernel(self) -> None:
         """Enter/leave kernel (OS) phases according to the kernel fraction."""

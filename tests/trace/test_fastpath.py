@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.api import Session
+from repro.api import session as api_session
 from repro.common import fastpath
 from repro.common.isa import Instruction, InstructionClass, SyncKind
 from repro.trace.columnar import TraceBatch
@@ -181,6 +182,10 @@ def test_data_run_columns_semantics(monkeypatch):
 def test_fallback_run_is_bit_identical(monkeypatch):
     """An end-to-end interval run matches exactly with the fallback forced."""
     def run():
+        # run_spec keeps the last built workload; empty that memo so each run
+        # synthesizes its own trace and builds its columns under the current
+        # implementation instead of reusing the other run's.
+        monkeypatch.setattr(api_session, "_last_workload", None)
         return (
             Session()
             .simulator("interval")
