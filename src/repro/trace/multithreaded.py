@@ -118,7 +118,7 @@ class MultiThreadedTraceGenerator:
 
         # Leading serial section: thread 0 works, everyone then synchronizes.
         if serial_work > 0:
-            self._emit_work(generators[0], per_thread[0], serial_work // 2)
+            generators[0].emit(per_thread[0], serial_work // 2)
             barrier_id = self._emit_barrier(per_thread, barrier_id)
 
         for phase in range(num_phases):
@@ -130,7 +130,7 @@ class MultiThreadedTraceGenerator:
 
         # Trailing serial section (e.g. result aggregation by the main thread).
         if serial_work > 0:
-            self._emit_work(generators[0], per_thread[0], serial_work - serial_work // 2)
+            generators[0].emit(per_thread[0], serial_work - serial_work // 2)
             barrier_id = self._emit_barrier(per_thread, barrier_id)
 
         traces = [
@@ -182,16 +182,6 @@ class MultiThreadedTraceGenerator:
             shares.append(max(16, int(base_share * max(0.1, noise))))
         return shares
 
-    def _emit_work(
-        self,
-        generator: SyntheticTraceGenerator,
-        out: List[Instruction],
-        amount: int,
-    ) -> None:
-        """Emit ``amount`` plain instructions from a thread's generator."""
-        for _ in range(max(0, amount)):
-            out.append(generator.next_instruction())
-
     def _emit_parallel_work(
         self,
         generator: SyntheticTraceGenerator,
@@ -207,7 +197,7 @@ class MultiThreadedTraceGenerator:
                 chunk = min(remaining, max(8, int(self._rng.expovariate(1.0 / lock_interval))))
             else:
                 chunk = remaining
-            self._emit_work(generator, out, chunk)
+            generator.emit(out, chunk)
             remaining -= chunk
             if lock_interval > 0 and remaining > 0:
                 remaining -= self._emit_critical_section(generator, out, min(remaining, profile.critical_section_length))
@@ -232,7 +222,7 @@ class MultiThreadedTraceGenerator:
             )
         )
         body = max(1, length)
-        self._emit_work(generator, out, body)
+        generator.emit(out, body)
         out.append(
             Instruction(
                 seq=0,

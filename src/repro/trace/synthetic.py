@@ -40,6 +40,30 @@ Model overview
 * **Full-system (kernel) phases** — a fraction of instructions is marked as
   kernel code, generated from a disjoint code region with its own data
   accesses, mimicking the OS activity of full-system traces.
+
+Stream contract
+---------------
+
+:meth:`SyntheticTraceGenerator.emit` produces the stream in one fused loop
+over locals, for speed: synthesis is the front end every timing model waits
+for.  Every random draw happens in a fixed order (kernel-phase entry, class,
+basic-block start, class-specific draws, sources, destination), and each
+inlined form equals the ``random.Random`` method it replaces:
+
+* ``randrange(a, b, s)`` is ``a + s * _randbelow(n)`` with
+  ``n = (b - a + s - 1) // s``;
+* ``_randbelow(n)`` draws ``getrandbits(n.bit_length())`` until the result is
+  below ``n`` (register and address draws inline this loop);
+* ``choices(population, cum_weights=cum)[0]`` is
+  ``population[bisect(cum, random() * total, 0, len(cum) - 1)]``;
+* ``expovariate(1 / m)`` is ``-log(1.0 - random()) / lambd`` with
+  ``lambd = 1.0 / m`` (the division is kept: ``* m`` rounds differently);
+* ``choice(seq)`` is ``seq[_randbelow(len(seq))]``.
+
+``tests/trace/test_stream_digest.py`` pins the stream with per-profile
+digests on every supported Python.  Any change to the draw order is an
+intentional model change: regenerate the golden corpus and the digests, and
+say so in the commit.
 """
 
 from __future__ import annotations
@@ -47,7 +71,8 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from dataclasses import dataclass
+from bisect import bisect
+from math import log
 from typing import Dict, List, Optional, Tuple
 
 from ..common.isa import Instruction, InstructionClass, NUM_ARCH_REGISTERS, SyncKind
@@ -70,6 +95,12 @@ _KERNEL_DATA_FOOTPRINT = 64 * 1024
 _INSTRUCTION_BYTES = 4
 _FUNCTION_SIZE = 1024  # bytes of code per synthetic function
 _NUM_HOT_FUNCTIONS = 12
+
+
+def _region(base: int, size: int) -> Tuple[int, int, int]:
+    """(base, words, bits) of a region drawn as ``randrange(0, size, 8)``."""
+    words = (size + 7) // 8
+    return base, words, words.bit_length()
 
 
 class _BranchSite:
@@ -114,22 +145,6 @@ class _StrideStream:
         return address
 
 
-@dataclass
-class _GeneratorState:
-    """Mutable bookkeeping of the generator while a trace is produced."""
-
-    pc: int = _CODE_BASE
-    function_base: int = _CODE_BASE
-    block_remaining: int = 0
-    in_kernel: bool = False
-    kernel_remaining: int = 0
-    call_stack: Optional[List[int]] = None
-
-    def __post_init__(self) -> None:
-        if self.call_stack is None:
-            self.call_stack = []
-
-
 class SyntheticTraceGenerator:
     """Generates the dynamic instruction stream of one software thread.
 
@@ -165,7 +180,6 @@ class SyntheticTraceGenerator:
         self._rng = random.Random(
             zlib.crc32(profile.name.encode()) ^ (seed * 2_654_435_761) ^ thread_id
         )
-        self._state = _GeneratorState()
         self._branch_sites: Dict[int, _BranchSite] = {}
         self._recent_writers: List[int] = []
         self._last_load_dst: Optional[int] = None
@@ -184,8 +198,12 @@ class SyntheticTraceGenerator:
         # sets through the shared L2.
         self._stack_base = _STACK_BASE + thread_id * (1 << 16)
         self._code_base = _CODE_BASE + thread_id * (1 << 22)
-        self._state.pc = self._code_base
-        self._state.function_base = self._code_base
+        # Generator state carried from one emit() call to the next.
+        self._pc = self._function_base = self._code_base
+        self._block_remaining = 0
+        self._in_kernel = False
+        self._kernel_remaining = 0
+        self._call_stack: List[int] = []
         self._l1_ws_base = self._data_base
         self._l1_ws_size = max(4 * 1024, profile.l1_working_set)
         self._l2_ws_base = self._data_base + (1 << 22)
@@ -196,9 +214,7 @@ class SyntheticTraceGenerator:
         self._hot_functions = self._make_hot_functions()
         self._weights = self._mix_weights()
         self._classes = list(self._weights.keys())
-        # Accumulated once: rng.choices(weights=...) would re-accumulate on
-        # every draw.  Both forms consume one random() per draw, so the
-        # stream is the same.
+        # Accumulated once for the class draw (see the stream contract).
         self._class_cum_weights = list(itertools.accumulate(self._weights.values()))
 
     # -- public API --------------------------------------------------------------
@@ -222,11 +238,8 @@ class SyntheticTraceGenerator:
         count = num_instructions if num_instructions is not None else self.profile.instructions
         if count <= 0:
             raise ValueError("number of instructions must be positive")
-        instructions: List[Instruction] = []
-        if include_init_phase:
-            instructions.extend(self._init_phase(budget=count // 5))
-        while len(instructions) < count:
-            instructions.append(self.next_instruction())
+        instructions = self._init_phase(budget=count // 5) if include_init_phase else []
+        self.emit(instructions, count - len(instructions))
         return ThreadTrace(instructions, thread_id=self.thread_id, name=self.profile.name)
 
     def _init_phase(self, budget: int) -> List[Instruction]:
@@ -269,33 +282,210 @@ class SyntheticTraceGenerator:
                     pc = self._code_base + 0x100
         return instructions
 
-    def next_instruction(self) -> Instruction:
-        """Generate the next dynamic instruction of the stream."""
-        self._maybe_toggle_kernel()
+    def emit(self, out: List[Instruction], count: int) -> None:
+        """Append the next ``count`` instructions of the stream to ``out``.
 
-        klass = self._pick_class()
-        pc = self._next_pc()
+        One fused loop over locals; the module docstring's stream contract
+        lists the order of the draws and the inlined ``random.Random`` forms.
+        """
+        if count <= 0:
+            return
+        profile = self.profile
+        rng = self._rng
+        random = rng.random
+        getrandbits = rng.getrandbits
+        randbelow = rng._randbelow
+        append = out.append
+        thread_id = self.thread_id
+        classes = self._classes
+        cum_weights = self._class_cum_weights
+        total_weight = cum_weights[-1] + 0.0
+        last_class = len(classes) - 1
+        kernel_fraction = profile.kernel_fraction
+        mean_kernel_phase = 600.0
+        kernel_entry = kernel_fraction / mean_kernel_phase
+        kernel_lambd = 1.0 / mean_kernel_phase
+        block_lambd = 1.0 / profile.mean_basic_block
+        distance_lambd = 1.0 / profile.dependence_distance
+        chase_fraction = profile.pointer_chase_fraction
+        shared_fraction = profile.shared_fraction
+        hot_fraction = profile.hot_data_fraction
+        l2_fraction = profile.l2_fraction
+        streaming_fraction = profile.streaming_fraction
+        # randbelow(n) draws getrandbits(n.bit_length()) until below n.
+        offsets = _FUNCTION_SIZE // _INSTRUCTION_BYTES
+        offset_bits = offsets.bit_length()
+        registers = NUM_ARCH_REGISTERS - 1  # register 0 is reserved
+        register_bits = registers.bit_length()
+        kernel_data = _region(_KERNEL_DATA_BASE, _KERNEL_DATA_FOOTPRINT)
+        shared_data = _region(self.shared_region_base, self.shared_region_size)
+        hot_data = _region(self._stack_base, self._hot_size)
+        l2_data = _region(self._l2_ws_base, self._l2_ws_size)
+        l2_hot_data = _region(self._l2_ws_base, max(4096, self._l2_ws_size // 8))
+        l1_data = _region(self._l1_ws_base, self._l1_ws_size)
+        streams = self._streams
+        code_base = self._code_base
+        branch_sites = self._branch_sites
+        writers = self._recent_writers
+        call_stack = self._call_stack
+        BRANCH, LOAD, STORE, SERIALIZING = (
+            InstructionClass.BRANCH, InstructionClass.LOAD,
+            InstructionClass.STORE, InstructionClass.SERIALIZING,
+        )
+        NO_SYNC = SyncKind.NONE
+        pc = self._pc
+        function_base = self._function_base
+        block_remaining = self._block_remaining
+        in_kernel = self._in_kernel
+        kernel_remaining = self._kernel_remaining
+        last_load_dst = self._last_load_dst
 
-        if klass == InstructionClass.BRANCH or self._state.block_remaining <= 0:
-            instruction = self._make_branch(pc)
-        elif klass in (InstructionClass.LOAD, InstructionClass.STORE):
-            instruction = self._make_memory(pc, klass)
-        elif klass == InstructionClass.SERIALIZING:
-            instruction = Instruction(
-                seq=self._seq,
-                pc=pc,
-                klass=InstructionClass.SERIALIZING,
-                thread_id=self.thread_id,
-                is_kernel=self._state.in_kernel,
-            )
-        else:
-            instruction = self._make_compute(pc, klass)
+        for seq in range(self._seq, self._seq + count):
+            # Kernel (OS) phases: bursts of a few hundred instructions entered
+            # so that kernel_fraction of the stream runs in kernel mode.
+            if in_kernel:
+                kernel_remaining -= 1
+                if kernel_remaining <= 0:
+                    in_kernel = False
+                    function_base = code_base
+                    block_remaining = 0
+            elif kernel_fraction > 0.0 and random() < kernel_entry:
+                in_kernel = True
+                kernel_remaining = int(-log(1.0 - random()) / kernel_lambd) + 100
+                function_base = _KERNEL_CODE_BASE + _FUNCTION_SIZE * randbelow(
+                    _KERNEL_CODE_FOOTPRINT // _FUNCTION_SIZE
+                )
+                block_remaining = 0
 
-        self._record_writer(instruction.dst_reg)
-        instruction.seq = self._seq
-        self._seq += 1
-        self._state.block_remaining -= 1
-        return instruction
+            klass = classes[bisect(cum_weights, random() * total_weight, 0, last_class)]
+            if block_remaining <= 0:
+                # New basic block at an aligned offset of the current function.
+                block_remaining = max(2, int(-log(1.0 - random()) / block_lambd) + 1)
+                offset = getrandbits(offset_bits)
+                while offset >= offsets:
+                    offset = getrandbits(offset_bits)
+                pc = function_base + _INSTRUCTION_BYTES * offset
+            pc += _INSTRUCTION_BYTES
+            block_remaining -= 1
+            dst_reg = mem_addr = None
+            taken = is_call = is_return = writes = False
+            target = 0
+            # Each source names a recent producer with this probability: the
+            # first source of a pick is likely a fresh value, a second one
+            # mostly a long-lived one.
+            first_recent, second_recent = 0.55, None
+
+            if klass is BRANCH:
+                # A branch ends the basic block.
+                block_remaining = 0
+                site = branch_sites.get(pc)
+                if site is None:
+                    site = branch_sites[pc] = self._new_branch_site(pc, in_kernel)
+                taken = site.outcome(rng)
+                target = site.target
+                # Occasionally a call or return, to exercise the RAS and move
+                # execution between functions (I-cache behaviour).
+                if random() < 0.06:
+                    taken = True
+                    if call_stack and random() < 0.5:
+                        is_return = True
+                        target = call_stack.pop()
+                    else:
+                        is_call = True
+                        target = self._call_target(in_kernel)
+                        call_stack.append(pc + _INSTRUCTION_BYTES)
+            elif klass is LOAD or klass is STORE:
+                if in_kernel:
+                    region = kernel_data
+                elif shared_fraction > 0.0 and random() < shared_fraction:
+                    region = shared_data  # multi-threaded workloads only
+                else:
+                    roll = random()
+                    if roll < hot_fraction:
+                        region = hot_data  # stack / scalars: always L1-resident
+                    elif roll - hot_fraction < l2_fraction:
+                        # L2-resident working set, skewed: an eighth of it
+                        # receives most accesses (realistic TLB/L2 behaviour).
+                        region = l2_hot_data if random() < 0.6 else l2_data
+                    elif roll - hot_fraction - l2_fraction < streaming_fraction:
+                        # Streaming: compulsory misses marching through memory.
+                        region = None
+                        mem_addr = streams[randbelow(len(streams))].next_address()
+                    else:
+                        region = l1_data
+                if region is not None:
+                    base, words, bits = region
+                    word = getrandbits(bits)
+                    while word >= words:
+                        word = getrandbits(bits)
+                    mem_addr = base + 8 * word
+                if klass is STORE:
+                    second_recent = 0.55  # address source, then data source
+                else:
+                    writes = True
+                    if last_load_dst is not None and random() < chase_fraction:
+                        # Pointer chasing: the address depends on the previous
+                        # load and lands anywhere in the larger working set,
+                        # so it misses the L1 and serializes with the producer.
+                        mem_addr = l2_data[0] + 8 * randbelow(l2_data[1])
+                        sources = (last_load_dst,)
+                        first_recent = None
+            elif klass is SERIALIZING:
+                sources = ()
+                first_recent = None
+            else:
+                writes = True
+                second_recent = 0.30 if random() < 0.7 else None
+
+            # Source registers name the producer a geometrically distributed
+            # number of writes back (mean dependence_distance), else any.
+            if first_recent is not None:
+                if writers and random() < first_recent:
+                    distance = int(-log(1.0 - random()) / distance_lambd) + 1
+                    first = writers[-distance] if distance < len(writers) else writers[0]
+                else:
+                    first = getrandbits(register_bits)
+                    while first >= registers:
+                        first = getrandbits(register_bits)
+                    first += 1
+                if second_recent is None:
+                    sources = (first,)
+                else:
+                    if writers and random() < second_recent:
+                        distance = int(-log(1.0 - random()) / distance_lambd) + 1
+                        second = writers[-distance] if distance < len(writers) else writers[0]
+                    else:
+                        second = getrandbits(register_bits)
+                        while second >= registers:
+                            second = getrandbits(register_bits)
+                        second += 1
+                    sources = (first, second)
+            if writes:
+                dst_reg = getrandbits(register_bits)
+                while dst_reg >= registers:
+                    dst_reg = getrandbits(register_bits)
+                dst_reg += 1
+                if klass is LOAD:
+                    last_load_dst = dst_reg
+                writers.append(dst_reg)
+                if len(writers) > 256:
+                    del writers[:128]
+            append(Instruction(
+                seq, pc, klass, sources, dst_reg, mem_addr, 8, taken, target,
+                is_call, is_return, NO_SYNC, 0, thread_id, in_kernel,
+            ))
+            if taken:
+                if is_call or is_return:
+                    function_base = target - (target % _FUNCTION_SIZE)
+                pc = target
+
+        self._seq += count
+        self._pc = pc
+        self._function_base = function_base
+        self._block_remaining = block_remaining
+        self._in_kernel = in_kernel
+        self._kernel_remaining = kernel_remaining
+        self._last_load_dst = last_load_dst
 
     # -- internal helpers --------------------------------------------------------
 
@@ -328,128 +518,25 @@ class SyntheticTraceGenerator:
             base + self._rng.randrange(0, size, _FUNCTION_SIZE) for _ in range(count)
         ]
 
-    def _pick_class(self) -> InstructionClass:
-        """Sample the next instruction class from the profile mix."""
-        return self._rng.choices(
-            self._classes, cum_weights=self._class_cum_weights, k=1
-        )[0]
-
-    def _maybe_toggle_kernel(self) -> None:
-        """Enter/leave kernel (OS) phases according to the kernel fraction."""
-        profile = self.profile
-        state = self._state
-        if state.in_kernel:
-            state.kernel_remaining -= 1
-            if state.kernel_remaining <= 0:
-                state.in_kernel = False
-                state.function_base = self._code_base
-                state.block_remaining = 0
-            return
-        if profile.kernel_fraction <= 0.0:
-            return
-        # Enter a kernel phase so that, on average, the requested fraction of
-        # instructions executes in kernel mode.  Kernel phases are bursts of
-        # a few hundred instructions (system call / interrupt handling).
-        mean_phase = 600.0
-        entry_probability = profile.kernel_fraction / mean_phase
-        if self._rng.random() < entry_probability:
-            state.in_kernel = True
-            state.kernel_remaining = int(self._rng.expovariate(1.0 / mean_phase)) + 100
-            state.function_base = _KERNEL_CODE_BASE + self._rng.randrange(
-                0, _KERNEL_CODE_FOOTPRINT, _FUNCTION_SIZE
-            )
-            state.block_remaining = 0
-
-    def _next_pc(self) -> int:
-        """Advance the program counter within the current basic block."""
-        state = self._state
-        if state.block_remaining <= 0:
-            self._start_new_block()
-        state.pc += _INSTRUCTION_BYTES
-        return state.pc
-
-    def _start_new_block(self) -> None:
-        """Begin a new basic block inside the current function."""
-        state = self._state
-        block_length = max(
-            2, int(self._rng.expovariate(1.0 / self.profile.mean_basic_block)) + 1
-        )
-        state.block_remaining = block_length
-        # Stay within the current function: pick an aligned offset.
-        state.pc = state.function_base + self._rng.randrange(
-            0, _FUNCTION_SIZE, _INSTRUCTION_BYTES
-        )
-
-    def _code_region(self) -> Tuple[int, int]:
+    def _code_region(self, in_kernel: bool) -> Tuple[int, int]:
         """Return (base, size) of the active code region (user or kernel)."""
-        if self._state.in_kernel:
+        if in_kernel:
             return _KERNEL_CODE_BASE, _KERNEL_CODE_FOOTPRINT
         return self._code_base, max(self.profile.code_footprint, _FUNCTION_SIZE)
 
-    def _call_target(self) -> int:
+    def _call_target(self, in_kernel: bool) -> int:
         """Pick a call target: a hot function most of the time."""
-        base, size = self._code_region()
-        if not self._state.in_kernel and self._rng.random() < self.profile.code_locality:
+        base, size = self._code_region(in_kernel)
+        if not in_kernel and self._rng.random() < self.profile.code_locality:
             return self._rng.choice(self._hot_functions)
         return base + self._rng.randrange(0, max(size, _FUNCTION_SIZE), _FUNCTION_SIZE)
 
-    def _make_branch(self, pc: int) -> Instruction:
-        """Generate a branch instruction, ending the current basic block."""
-        rng = self._rng
-        state = self._state
-        state.block_remaining = 0  # block ends here
-
-        site = self._branch_sites.get(pc)
-        if site is None:
-            site = self._new_branch_site(pc)
-            self._branch_sites[pc] = site
-
-        taken = site.outcome(rng)
-        is_call = False
-        is_return = False
-        target = site.target
-
-        # Occasionally make this branch a call or return to exercise the RAS
-        # and to move execution between functions (I-cache behaviour).
-        call_probability = 0.06
-        if rng.random() < call_probability and state.call_stack is not None:
-            if state.call_stack and rng.random() < 0.5:
-                is_return = True
-                target = state.call_stack.pop()
-                taken = True
-            else:
-                is_call = True
-                target = self._call_target()
-                state.call_stack.append(pc + _INSTRUCTION_BYTES)
-                taken = True
-
-        sources = self._pick_sources(1)
-        instruction = Instruction(
-            seq=self._seq,
-            pc=pc,
-            klass=InstructionClass.BRANCH,
-            src_regs=sources,
-            dst_reg=None,
-            is_taken=taken,
-            branch_target=target,
-            is_call=is_call,
-            is_return=is_return,
-            thread_id=self.thread_id,
-            is_kernel=state.in_kernel,
-        )
-        if taken:
-            if is_call or is_return:
-                state.function_base = target - (target % _FUNCTION_SIZE)
-            state.pc = target
-            state.block_remaining = 0
-        return instruction
-
-    def _new_branch_site(self, pc: int) -> _BranchSite:
+    def _new_branch_site(self, pc: int, in_kernel: bool) -> _BranchSite:
         """Assign a behaviour class to a newly seen static branch."""
         rng = self._rng
         profile = self.profile
         roll = rng.random()
-        base, _ = self._code_region()
+        base, _ = self._code_region(in_kernel)
         # Backward target (loop) or forward target within the function.
         if roll < profile.loop_branch_fraction:
             kind = "loop"
@@ -467,126 +554,6 @@ class SyntheticTraceGenerator:
             target = pc + rng.randrange(8, 256, _INSTRUCTION_BYTES)
             bias = 0.02 + 0.08 * rng.random() if rng.random() < 0.5 else 0.9 + 0.08 * rng.random()
         return _BranchSite(kind, bias, loop_count, target)
-
-    def _make_memory(self, pc: int, klass: InstructionClass) -> Instruction:
-        """Generate a load or store with a profile-driven address."""
-        rng = self._rng
-        profile = self.profile
-        address = self._data_address()
-        pointer_chase = (
-            klass == InstructionClass.LOAD
-            and self._last_load_dst is not None
-            and rng.random() < profile.pointer_chase_fraction
-        )
-        if pointer_chase:
-            sources = (self._last_load_dst,) + self._pick_sources(0)
-            # A dependent (pointer-chasing) load goes to an unpredictable
-            # location in the larger working set: the next pointer is
-            # data-dependent, so it misses the L1 and serializes with the
-            # producing load.
-            address = self._l2_ws_base + rng.randrange(0, self._l2_ws_size, 8)
-        else:
-            sources = self._pick_sources(1)
-
-        dst_reg: Optional[int]
-        if klass == InstructionClass.LOAD:
-            dst_reg = self._pick_destination()
-            self._last_load_dst = dst_reg
-        else:
-            dst_reg = None
-            sources = sources + self._pick_sources(1)
-
-        return Instruction(
-            seq=self._seq,
-            pc=pc,
-            klass=klass,
-            src_regs=sources,
-            dst_reg=dst_reg,
-            mem_addr=address,
-            mem_size=8,
-            thread_id=self.thread_id,
-            is_kernel=self._state.in_kernel,
-        )
-
-    def _data_address(self) -> int:
-        """Sample a data address according to the profile's locality model."""
-        rng = self._rng
-        profile = self.profile
-        if self._state.in_kernel:
-            return _KERNEL_DATA_BASE + rng.randrange(0, _KERNEL_DATA_FOOTPRINT, 8)
-        # Shared-region accesses (multi-threaded workloads only).
-        if profile.shared_fraction > 0.0 and rng.random() < profile.shared_fraction:
-            return self.shared_region_base + rng.randrange(0, self.shared_region_size, 8)
-
-        roll = rng.random()
-        if roll < profile.hot_data_fraction:
-            # Hot region (stack / scalars): always L1-resident.
-            return self._stack_base + rng.randrange(0, self._hot_size, 8)
-        roll -= profile.hot_data_fraction
-        if roll < profile.l2_fraction:
-            # L2-resident working set: misses the L1, hits the L2 when the
-            # program runs alone.  Accesses are skewed (an eighth of the
-            # working set receives the majority of accesses) to keep TLB and
-            # L2 behaviour realistic.
-            if rng.random() < 0.6:
-                hot_eighth = max(4096, self._l2_ws_size // 8)
-                return self._l2_ws_base + rng.randrange(0, hot_eighth, 8)
-            return self._l2_ws_base + rng.randrange(0, self._l2_ws_size, 8)
-        roll -= profile.l2_fraction
-        if roll < profile.streaming_fraction:
-            # Streaming access: compulsory misses marching through memory.
-            return rng.choice(self._streams).next_address()
-        # L1-resident working set.
-        return self._l1_ws_base + rng.randrange(0, self._l1_ws_size, 8)
-
-    def _make_compute(self, pc: int, klass: InstructionClass) -> Instruction:
-        """Generate an ALU/FP instruction with register dependences."""
-        num_sources = 2 if self._rng.random() < 0.7 else 1
-        return Instruction(
-            seq=self._seq,
-            pc=pc,
-            klass=klass,
-            src_regs=self._pick_sources(num_sources),
-            dst_reg=self._pick_destination(),
-            thread_id=self.thread_id,
-            is_kernel=self._state.in_kernel,
-        )
-
-    def _pick_destination(self) -> int:
-        """Pick a destination architectural register (register 0 is reserved)."""
-        return self._rng.randrange(1, NUM_ARCH_REGISTERS)
-
-    def _pick_sources(self, count: int) -> Tuple[int, ...]:
-        """Pick source registers, preferring recently written registers.
-
-        The distance (in instructions) to the producing instruction follows a
-        geometric distribution with mean ``profile.dependence_distance``,
-        which shapes the dependence chains the old window sees.
-        """
-        sources: List[int] = []
-        rng = self._rng
-        mean_distance = self.profile.dependence_distance
-        for source_index in range(count):
-            # The first source has a good chance of naming a recent producer
-            # (real code consumes freshly computed values); additional sources
-            # are mostly loop-invariant or long-lived values, which keeps the
-            # dependence graph from collapsing into a single serial chain.
-            recent_probability = 0.55 if source_index == 0 else 0.30
-            if self._recent_writers and rng.random() < recent_probability:
-                distance = int(rng.expovariate(1.0 / mean_distance)) + 1
-                index = min(distance, len(self._recent_writers))
-                sources.append(self._recent_writers[-index])
-            else:
-                sources.append(rng.randrange(1, NUM_ARCH_REGISTERS))
-        return tuple(sources)
-
-    def _record_writer(self, dst_reg: Optional[int]) -> None:
-        """Remember the destination register of the generated instruction."""
-        if dst_reg is None:
-            return
-        self._recent_writers.append(dst_reg)
-        if len(self._recent_writers) > 256:
-            del self._recent_writers[:128]
 
 
 def generate_trace(
