@@ -8,7 +8,7 @@ direction was predicted correctly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = ["BranchTargetBuffer"]
 
@@ -25,8 +25,9 @@ class BranchTargetBuffer:
         self.associativity = associativity
         self.num_sets = entries // associativity
         # Each set is an ordered list of (tag, target); index 0 is LRU,
-        # the last element is the most recently used entry.
-        self._sets: List[List[Tuple[int, int]]] = [[] for _ in range(self.num_sets)]
+        # the last element is the most recently used entry.  Sets are
+        # allocated on first update; a ``None`` set misses every lookup.
+        self._sets: List[Optional[List[Tuple[int, int]]]] = [None] * self.num_sets
 
     def _index_tag(self, pc: int) -> Tuple[int, int]:
         """Split a branch PC into set index and tag."""
@@ -37,6 +38,8 @@ class BranchTargetBuffer:
         """Return the predicted target for ``pc``, or ``None`` on a BTB miss."""
         index, tag = self._index_tag(pc)
         entry_set = self._sets[index]
+        if entry_set is None:
+            return None
         for position, (entry_tag, target) in enumerate(entry_set):
             if entry_tag == tag:
                 # Move to MRU position.
@@ -48,6 +51,8 @@ class BranchTargetBuffer:
         """Record the actual target of a taken branch."""
         index, tag = self._index_tag(pc)
         entry_set = self._sets[index]
+        if entry_set is None:
+            entry_set = self._sets[index] = []
         for position, (entry_tag, _) in enumerate(entry_set):
             if entry_tag == tag:
                 entry_set.pop(position)
@@ -58,4 +63,4 @@ class BranchTargetBuffer:
 
     def flush(self) -> None:
         """Invalidate the entire BTB."""
-        self._sets = [[] for _ in range(self.num_sets)]
+        self._sets = [None] * self.num_sets

@@ -106,9 +106,10 @@ class SetAssociativeCache:
     """A set-associative cache with LRU replacement and MOESI line states.
 
     The cache stores only tags and states (no data), which is all a timing
-    simulator needs.  Coherence transitions are applied by the snooping bus
-    (:mod:`repro.memory.coherence`) through :meth:`set_state`,
-    :meth:`invalidate_line` and :meth:`downgrade_line`.
+    simulator needs.  The snooping bus (:mod:`repro.memory.coherence`)
+    applies coherence transitions to the lines :meth:`probe` returns;
+    :meth:`set_state`, :meth:`invalidate_line` and :meth:`downgrade_line`
+    apply them by address.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache", level: int = 1) -> None:
@@ -121,6 +122,11 @@ class SetAssociativeCache:
         # Per-set line lists, allocated lazily on first fill: a shared L2 has
         # thousands of sets, most never touched in short simulations.
         self._sets: List[Optional[List[CacheLine]]] = [None] * self._num_sets
+        # Coherence sharer mask (block number -> bitmask of cores that may
+        # hold the line) and this cache's bit in it, installed by the
+        # coherence controller on snooped L1ds only (see track_sharers).
+        self._sharers: Optional[Dict[int, int]] = None
+        self._sharer_bit = 0
 
     # -- address helpers ---------------------------------------------------------
 
@@ -179,7 +185,10 @@ class SetAssociativeCache:
         """Insert a line after a miss; returns the evicted line, if any.
 
         The evicted line is returned so the caller can issue a write-back when
-        it is dirty (Modified/Owned).
+        it is dirty (Modified/Owned).  A coherent L1d reports every fill to
+        its controller's sharer mask: the filled block gains this core's bit
+        and an evicted victim loses it.  :meth:`fill_cold` does neither, so
+        it is only for caches nobody snoops.
         """
         block = address >> self._offset_bits
         tag = block // self._num_sets
@@ -187,6 +196,9 @@ class SetAssociativeCache:
         entry_set = self._sets[index]
         if entry_set is None:
             entry_set = self._sets[index] = []
+        sharers = self._sharers
+        if sharers is not None:
+            sharers[block] = sharers.get(block, 0) | self._sharer_bit
         # One pass resolves both questions: an existing (possibly invalid)
         # line with this tag, and otherwise the first invalid line to reuse.
         invalid_at = -1
@@ -212,6 +224,13 @@ class SetAssociativeCache:
                 # Dirty (Modified/Owned) states sort above the clean ones.
                 if victim.state >= CoherenceState.OWNED:
                     self.stats.writebacks += 1
+                if sharers is not None:
+                    victim_block = victim.tag * self._num_sets + index
+                    mask = sharers[victim_block] & ~self._sharer_bit
+                    if mask:
+                        sharers[victim_block] = mask
+                    else:
+                        del sharers[victim_block]
         entry_set.append(CacheLine(tag=tag, state=state))
         return victim
 
@@ -245,6 +264,20 @@ class SetAssociativeCache:
         return victim
 
     # -- coherence hooks ---------------------------------------------------------
+
+    def track_sharers(self, sharers: Dict[int, int], core_id: int) -> None:
+        """Report this cache's residency to a coherence sharer mask.
+
+        From now on :meth:`fill` sets bit ``core_id`` of ``sharers[block]``
+        for every filled block and clears it for every evicted victim.  Lines
+        already resident are entered now, so every valid line has its bit.
+        """
+        self._sharers = sharers
+        self._sharer_bit = bit = 1 << core_id
+        num_sets = self._num_sets
+        for index, line in self.resident_lines():
+            block = line.tag * num_sets + index
+            sharers[block] = sharers.get(block, 0) | bit
 
     def set_state(self, address: int, state: CoherenceState) -> bool:
         """Set the coherence state of a resident line; returns ``True`` if found."""

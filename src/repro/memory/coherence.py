@@ -8,6 +8,26 @@ and reporting whether the request was satisfied by a cache-to-cache transfer
 (a *coherence miss*, which the interval model treats as a long-latency event)
 and how many remote copies had to be invalidated.
 
+A request snoops only the cores in the line's *sharer mask*: a dict from L1d
+block number to a bitmask of the cores that may hold the line, visited in
+ascending core order (the order of a broadcast over every cache, so the
+first supplier and every state transition and counter match one).  The
+invariant is that the mask is a superset of residency: every valid line in
+core *r*'s L1d has bit *r* set.  Three places keep it:
+
+* :meth:`SetAssociativeCache.fill` sets the filling core's bit and clears
+  the bit of the victim it evicts (the map stays no larger than the number
+  of resident lines plus stale bits);
+* :meth:`CoherenceController.write_request` clears every remote bit it
+  invalidates;
+* a snoop whose probe finds nothing clears that stale bit.  Stale bits are
+  left by ``drop_line``, ``flush`` and fault corruption, which remove lines
+  behind the controller's back; probing such a core was a no-op anyway.
+
+The mask is only kept when the snoop is non-trivial (more than one cache and
+a protocol other than ``"NONE"``); otherwise every request trivially finds no
+remote sharers and the caches fill through ``fill_cold``.
+
 A simpler MESI and MSI mode are provided as well (selected through
 ``MemoryConfig.coherence_protocol``) so protocol trade-offs can be explored;
 they differ only in which states are reachable.
@@ -16,7 +36,7 @@ they differ only in which states are reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .cache import CoherenceState, SetAssociativeCache
 
@@ -70,8 +90,9 @@ class CoherenceStats:
         self.writebacks = 0
 
 
-#: Shared immutable "no remote sharers" snoop outcome (see
-#: CoherenceController._trivial).  Callers only read SnoopResult fields.
+#: Shared immutable "no remote sharers" snoop outcome, returned when the snoop
+#: is trivial or the line's sharer mask names no other core.  Callers only
+#: read SnoopResult fields.
 _NO_SNOOP = SnoopResult()
 
 
@@ -102,6 +123,14 @@ class CoherenceController:
         # remote sharers; requests then return a shared, never-mutated result
         # instead of allocating one per miss.
         self._trivial = len(self._caches) <= 1 or protocol == "NONE"
+        # Sharer mask: L1d block number -> bitmask of the cores that may hold
+        # the line (a superset of residency; see the module docstring).
+        self._sharers: Dict[int, int] = {}
+        self._offset_bits = 0
+        if not self._trivial:
+            self._offset_bits = self._caches[0]._offset_bits
+            for core_id, cache in enumerate(self._caches):
+                cache.track_sharers(self._sharers, core_id)
         # Degraded-interconnect fault state (see
         # repro.faults.injector.LinkFaultState), installed by the fault
         # injector after functional warm-up; None in fault-free runs.  The
@@ -124,23 +153,33 @@ class CoherenceController:
     def read_request(self, core_id: int, line_address: int) -> SnoopResult:
         """Resolve a read miss from ``core_id`` for ``line_address``.
 
-        Snoops the other L1 data caches.  If a remote cache holds the line in
-        a state that can supply data, a cache-to-cache transfer happens and
-        the supplier is downgraded (M→O, E→S under MOESI; M→S with a memory
-        write-back under MESI/MSI).  Returns the snoop outcome; the caller
-        decides the resulting state of the requester's line
-        (:meth:`requester_read_state`).
+        Snoops the other L1 data caches in the line's sharer mask.  If a
+        remote cache holds the line in a state that can supply data, a
+        cache-to-cache transfer happens and the supplier is downgraded (M→O,
+        E→S under MOESI; M→S with a memory write-back under MESI/MSI).
+        Returns the snoop outcome; the caller decides the resulting state of
+        the requester's line (:meth:`requester_read_state`).
         """
         self.stats.read_requests += 1
         if self._trivial:
             return _NO_SNOOP
+        sharers = self._sharers
+        block = line_address >> self._offset_bits
+        entry = sharers.get(block, 0)
+        remote = entry & ~(1 << core_id)
+        if not remote:
+            return _NO_SNOOP
+        caches = self._caches
         epochs = self.epochs
         result = SnoopResult()
-        for remote_id, cache in enumerate(self._caches):
-            if remote_id == core_id:
-                continue
-            line = cache.probe(line_address)
-            if line is None or not line.valid:
+        stale = 0
+        while remote:
+            bit = remote & -remote
+            remote ^= bit
+            remote_id = bit.bit_length() - 1
+            line = caches[remote_id].probe(line_address)
+            if line is None:
+                stale |= bit
                 continue
             result.had_remote_sharers = True
             if line.state.can_supply and not result.supplied_by_cache:
@@ -164,6 +203,12 @@ class CoherenceController:
             elif line.state == CoherenceState.EXCLUSIVE:
                 line.state = CoherenceState.SHARED
                 epochs[remote_id] += 1
+        if stale:
+            entry &= ~stale
+            if entry:
+                sharers[block] = entry
+            else:
+                del sharers[block]
         return result
 
     def write_request(
@@ -174,20 +219,35 @@ class CoherenceController:
         Invalidate every remote copy.  ``already_resident`` distinguishes an
         upgrade (the requester already holds the line in S/O) from a write
         miss; both invalidate remote sharers, but an upgrade does not need a
-        data transfer unless a remote cache held the only dirty copy.
+        data transfer unless a remote cache held the only dirty copy.  Only
+        the requester's bit survives in the line's sharer mask.
         """
         self.stats.write_requests += 1
         if already_resident:
             self.stats.upgrades += 1
         if self._trivial:
             return _NO_SNOOP
+        sharers = self._sharers
+        block = line_address >> self._offset_bits
+        entry = sharers.get(block, 0)
+        own = entry & (1 << core_id)
+        remote = entry ^ own
+        if not remote:
+            return _NO_SNOOP
+        if own:
+            sharers[block] = own
+        else:
+            del sharers[block]
+        caches = self._caches
         epochs = self.epochs
         result = SnoopResult()
-        for remote_id, cache in enumerate(self._caches):
-            if remote_id == core_id:
-                continue
+        while remote:
+            bit = remote & -remote
+            remote ^= bit
+            remote_id = bit.bit_length() - 1
+            cache = caches[remote_id]
             line = cache.probe(line_address)
-            if line is None or not line.valid:
+            if line is None:
                 continue
             result.had_remote_sharers = True
             if line.state.is_dirty and not result.supplied_by_cache:
@@ -195,7 +255,8 @@ class CoherenceController:
                 result.supplied_by_cache = True
                 result.supplier_core = remote_id
                 self.stats.cache_to_cache_transfers += 1
-            cache.invalidate_line(line_address)
+            line.state = CoherenceState.INVALID
+            cache.stats.invalidations_received += 1
             epochs[remote_id] += 1
             result.invalidations += 1
             self.stats.invalidations_sent += 1

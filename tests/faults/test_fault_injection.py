@@ -131,7 +131,17 @@ class TestFuzzFastVsReference:
         ids=lambda value: str(value) if isinstance(value, (int, str)) else None,
     )
     def test_fast_paths_match_reference_under_faults(
-        self, index, model, bench, threads, total, warmup, plan, monkeypatch
+        self,
+        index,
+        model,
+        bench,
+        threads,
+        total,
+        warmup,
+        plan,
+        monkeypatch,
+        recorded_hierarchies,
+        coherence_invariants,
     ):
         fast = _run_faulted(model, bench, threads, total, warmup, plan)
         monkeypatch.setattr(MemoryHierarchy, "use_data_runs", False)
@@ -141,6 +151,11 @@ class TestFuzzFastVsReference:
         assert (
             fast.stats.deterministic_dict() == reference.stats.deterministic_dict()
         ), f"schedule {index}: {model}/{bench} diverged under {plan.describe()}"
+        # Drops and corruption leave stale sharer bits but never a resident
+        # line without its bit, nor a second writer.
+        assert len(recorded_hierarchies) == 2
+        for hierarchy in recorded_hierarchies:
+            coherence_invariants(hierarchy.l1d, hierarchy.coherence)
 
 
 # ---------------------------------------------------------------------------

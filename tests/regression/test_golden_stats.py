@@ -34,7 +34,9 @@ def test_corpus_and_golden_file_agree() -> None:
 
 
 @pytest.mark.parametrize("key", sorted(CORPUS))
-def test_stats_match_golden_bit_for_bit(key: str) -> None:
+def test_stats_match_golden_bit_for_bit(
+    key: str, recorded_hierarchies, coherence_invariants
+) -> None:
     session = CORPUS[key]
     produced = session.run().stats.deterministic_dict()
     expected = GOLDEN[key]
@@ -44,6 +46,9 @@ def test_stats_match_golden_bit_for_bit(key: str) -> None:
             f"{key}: simulated statistics diverged from the golden corpus "
             f"({len(diffs)} differing leaves):\n" + "\n".join(diffs[:40])
         )
+    # The run ends with a coherent chip: sharer mask and MOESI invariants.
+    (hierarchy,) = recorded_hierarchies
+    coherence_invariants(hierarchy.l1d, hierarchy.coherence)
 
 
 def _flat_diff(got, want, path=""):
