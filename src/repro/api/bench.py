@@ -160,7 +160,7 @@ BENCH_SHAPES: Dict[str, BenchShape] = {
     "mcf64": BenchShape(
         name="mcf64",
         description="many-core memory-bound (mcf), 64 threads sharing a hot "
-        "region (D-side run commits under coherence traffic)",
+        "region (the D-side memo under coherence traffic)",
         kind="manycore",
         benchmark="mcf",
         threads=64,
@@ -348,15 +348,11 @@ def run_throughput_suite(
             "issue_wakeups": stats.issue_wakeups,
             "issue_scans_skipped": stats.issue_scans_skipped,
             "ready_bucket_peak": stats.ready_bucket_peak,
-            # D-side run-commit traffic (batched same-line memory-op runs).
-            "data_runs_committed": stats.data_runs_committed,
-            "data_run_aborts": stats.data_run_aborts,
             # Fault-injection observability (zero on fault-free shapes).
             "faults_injected": stats.faults_injected,
             "refetches_forced": stats.refetches_forced,
             "dram_retries": stats.dram_retries,
             "retry_cycles": stats.retry_cycles,
-            "runs_aborted_by_fault": stats.runs_aborted_by_fault,
         }
         if profile:
             results[name]["profile_top20"] = _profile_round(
@@ -565,7 +561,6 @@ def _render_shape(workload: Mapping[str, object], fragment: Mapping[str, object]
                 float(row["aggregate_ipc"]),
                 int(row.get("events_popped", 0)),
                 int(row.get("issue_wakeups", 0)),
-                int(row.get("data_runs_committed", 0)),
                 int(row.get("faults_injected", 0)),
                 float(row["best_wall_seconds"]) * 1000.0,
                 float(speedups.get(name, 1.0)) if name != "detailed" else 1.0,
@@ -583,7 +578,6 @@ def _render_shape(workload: Mapping[str, object], fragment: Mapping[str, object]
             "IPC",
             "heap pops",
             "issue wakeups",
-            "data runs",
             "faults",
             "best ms",
             "speedup vs detailed",

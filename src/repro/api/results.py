@@ -93,16 +93,11 @@ class RunResult:
                 "issue_wakeups": self.stats.issue_wakeups,
                 "issue_scans_skipped": self.stats.issue_scans_skipped,
                 "ready_bucket_peak": self.stats.ready_bucket_peak,
-                # D-side run-commit traffic (batched same-line memory-op
-                # runs; zero when the fast path is ruled out or unused).
-                "data_runs_committed": self.stats.data_runs_committed,
-                "data_run_aborts": self.stats.data_run_aborts,
                 # Fault-injection observability (all zero in fault-free runs).
                 "faults_injected": self.stats.faults_injected,
                 "refetches_forced": self.stats.refetches_forced,
                 "dram_retries": self.stats.dram_retries,
                 "retry_cycles": self.stats.retry_cycles,
-                "runs_aborted_by_fault": self.stats.runs_aborted_by_fault,
             },
             "stats": self.stats.as_dict(),
         }

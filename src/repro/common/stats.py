@@ -90,28 +90,16 @@ class CoreStats:
     issue_wakeups: int = 0
     issue_scans_skipped: int = 0
     ready_bucket_peak: int = 0
-    # D-side run-commit observability.  Host-side fast-path traffic — how
-    # many same-line memory-op runs were validated once and committed
-    # arithmetically, and how many live commits were rolled back because a
-    # remote coherence action bumped the core's epoch mid-run — not
-    # simulated behavior, so excluded from deterministic comparisons (the
-    # batched and per-access paths produce identical simulated statistics).
-    data_runs_committed: int = 0
-    data_run_aborts: int = 0
     # Fault-injection observability (populated only when a fault plan is
     # armed).  These count injected fault events, the re-fetches they forced,
-    # flaky-DRAM retries and the extra cycles those retries (plus degraded
-    # links) charged, and how many committed D-side runs were rolled back
-    # because a fault hit inside the run window.  They describe the injection
-    # machinery, not comparable simulated behavior — the fast and reference
-    # data paths see the same fault schedule but attribute aborts differently
-    # (the per-access path has no runs to abort) — so like the run-commit
-    # counters they are excluded from deterministic comparisons.
+    # and flaky-DRAM retries and the extra cycles those retries (plus
+    # degraded links) charged.  They describe the injection machinery rather
+    # than the simulated machine, so they are excluded from deterministic
+    # comparisons.
     faults_injected: int = 0
     refetches_forced: int = 0
     dram_retries: int = 0
     retry_cycles: int = 0
-    runs_aborted_by_fault: int = 0
     # CPI-stack components (cycles attributed to each penalty class by the
     # interval model; the detailed model leaves them at zero).
     base_cycles: int = 0
@@ -192,13 +180,10 @@ class CoreStats:
             "committed_loads",
             "issue_wakeups",
             "issue_scans_skipped",
-            "data_runs_committed",
-            "data_run_aborts",
             "faults_injected",
             "refetches_forced",
             "dram_retries",
             "retry_cycles",
-            "runs_aborted_by_fault",
             "base_cycles",
             "icache_penalty_cycles",
             "branch_penalty_cycles",
@@ -241,13 +226,10 @@ class CoreStats:
             "issue_wakeups": self.issue_wakeups,
             "issue_scans_skipped": self.issue_scans_skipped,
             "ready_bucket_peak": self.ready_bucket_peak,
-            "data_runs_committed": self.data_runs_committed,
-            "data_run_aborts": self.data_run_aborts,
             "faults_injected": self.faults_injected,
             "refetches_forced": self.refetches_forced,
             "dram_retries": self.dram_retries,
             "retry_cycles": self.retry_cycles,
-            "runs_aborted_by_fault": self.runs_aborted_by_fault,
             "base_cycles": self.base_cycles,
             "icache_penalty_cycles": self.icache_penalty_cycles,
             "branch_penalty_cycles": self.branch_penalty_cycles,
@@ -384,17 +366,13 @@ class SimulationStats:
 
     @property
     def data_runs_committed(self) -> int:
-        """Total D-side same-line runs committed arithmetically, all cores.
+        """Always 0: the D-side run commits this counted no longer exist.
 
-        Host-side fast-path observability (excluded from
-        :meth:`deterministic_dict`).
+        Kept only because the repository benchmark's per-layer report
+        (``perfbench/bench_report.py``, metric ``memory.data_runs_committed``)
+        still reads it; remove it together with that metric.
         """
-        return sum(core.data_runs_committed for core in self.cores)
-
-    @property
-    def data_run_aborts(self) -> int:
-        """Total live run commits rolled back by a mid-run epoch bump."""
-        return sum(core.data_run_aborts for core in self.cores)
+        return 0
 
     @property
     def faults_injected(self) -> int:
@@ -419,11 +397,6 @@ class SimulationStats:
     def retry_cycles(self) -> int:
         """Total extra cycles charged by DRAM retries and degraded links."""
         return sum(core.retry_cycles for core in self.cores)
-
-    @property
-    def runs_aborted_by_fault(self) -> int:
-        """Total committed D-side runs rolled back by an injected fault."""
-        return sum(core.runs_aborted_by_fault for core in self.cores)
 
     def as_dict(self) -> Dict[str, object]:
         """Flatten the run's statistics for reporting."""
@@ -459,19 +432,12 @@ class SimulationStats:
             core.pop("issue_wakeups", None)
             core.pop("issue_scans_skipped", None)
             core.pop("ready_bucket_peak", None)
-            # Likewise D-side run-commit traffic: the batched and per-access
-            # data paths produce identical simulated statistics but
-            # different commit/abort counts.
-            core.pop("data_runs_committed", None)
-            core.pop("data_run_aborts", None)
-            # Fault-injection observability: the fast and reference data
-            # paths price the same fault schedule identically but attribute
-            # aborts (and injector bookkeeping) differently.
+            # Fault-injection observability: injector bookkeeping, not
+            # simulated behavior.
             core.pop("faults_injected", None)
             core.pop("refetches_forced", None)
             core.pop("dram_retries", None)
             core.pop("retry_cycles", None)
-            core.pop("runs_aborted_by_fault", None)
         return result
 
     @classmethod

@@ -29,6 +29,10 @@ out of the original interval implementation:
   skips any position whose flag byte intersects the caller's mask.  The
   interval kernel additionally stores its per-position overlap state in the
   same byte (bits :data:`F_IOVR`/:data:`F_BROVR`/:data:`F_DOVR`).
+* **Per-access data side** — loads and stores are not batched: every one
+  goes through :meth:`~repro.memory.hierarchy.MemoryHierarchy.data_probe`,
+  whose per-core coherence-epoch memo makes a repeat hit on the most recent
+  line two counter increments.
 * **Synchronization interpreter** —
   :meth:`ColumnarKernelCore._handle_sync_kind` gives every model the same
   barrier/lock semantics against the shared
@@ -44,7 +48,7 @@ with the batched I-side probe; the back end remains cycle-level).
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import Optional
 
 from ..branch import BranchPredictor
 from ..common.config import MachineConfig
@@ -58,7 +62,6 @@ from ..trace.stream import TraceCursor
 
 __all__ = [
     "ColumnarKernelCore",
-    "bind_data_runs",
     "KLASS_LOAD",
     "KLASS_STORE",
     "KLASS_BRANCH",
@@ -97,39 +100,6 @@ F_SKIP_FETCH = F_IOVR | F_NOFETCH
 _UNBOUNDED_SPAN = float("inf")
 
 
-def bind_data_runs(core, batch: TraceBatch) -> None:
-    """Bind the batch's D-side run columns onto ``core`` uniformly.
-
-    Shared by every timing model's ``bind_thread`` (the columnar kernels
-    through :meth:`ColumnarKernelCore.bind_thread`, the detailed model
-    directly) so all three bind the same columns under the same gate: the
-    hierarchy's :meth:`~repro.memory.hierarchy.MemoryHierarchy.data_run_shift`
-    decides whether the data-side run fast path is live, and ``None`` columns
-    make every consumer fall back to per-access ``data_probe``.  Also resets
-    the core's active-run state (``_data_run_limit`` — exclusive end of the
-    committed run; ``_data_run_epoch`` — the coherence epoch the commit
-    validated; ``_data_run_left`` — pre-committed accesses not yet consumed,
-    the exact rollback amount for
-    :meth:`~repro.memory.hierarchy.MemoryHierarchy.data_run_abort`).
-    """
-    shift = core.hierarchy.data_run_shift()
-    if shift is None:
-        core._data_runs = None
-        core._mem_prefix = None
-        core._store_prefix = None
-    else:
-        core._data_runs = batch.data_run_ends(shift)
-        core._mem_prefix, core._store_prefix = batch.data_run_prefixes()
-    core._data_run_limit = 0
-    core._data_run_epoch = -1
-    core._data_run_left = 0
-    # Fault epoch snapshot at commit time: when an abort fires and the
-    # hierarchy's per-core fault epoch moved past this snapshot, the abort
-    # is attributed to an injected fault (runs_aborted_by_fault) rather
-    # than ordinary remote coherence traffic.
-    core._data_run_fault_epoch = -1
-
-
 class ColumnarKernelCore(CoreModel):
     """Base class for per-core timing models on the columnar kernel.
 
@@ -164,17 +134,6 @@ class ColumnarKernelCore(CoreModel):
         self._n = 0
         self._head = 0
         self._fetch_limit = 0
-        # Fetch-line run column for the hierarchy's batched probes, or None
-        # when the configuration rules the run-column fast path out.
-        self._line_runs: Optional[List[int]] = None
-        # D-side run columns and active-run state (see bind_data_runs).
-        self._data_runs: Optional[List[int]] = None
-        self._mem_prefix: Optional[List[int]] = None
-        self._store_prefix: Optional[List[int]] = None
-        self._data_run_limit = 0
-        self._data_run_epoch = -1
-        self._data_run_left = 0
-        self._data_run_fault_epoch = -1
 
     # -- CoreModel interface -----------------------------------------------------
 
@@ -188,11 +147,6 @@ class ColumnarKernelCore(CoreModel):
         # The cursor position accounts for any functionally-warmed prefix.
         self._head = cursor.position
         self._fetch_limit = self._head
-        shift = self.hierarchy.fetch_run_shift()
-        self._line_runs = (
-            batch.fetch_line_runs(shift) if shift is not None else None
-        )
-        bind_data_runs(self, batch)
         self._bind_batch(batch, cursor)
 
     def _bind_batch(self, batch: TraceBatch, cursor: TraceCursor) -> None:

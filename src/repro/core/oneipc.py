@@ -61,16 +61,10 @@ class OneIPCCore(ColumnarKernelCore):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._run_ends: List[int] = []
-        self._quiet_ends: List[int] = []
 
     def _bind_batch(self, batch: TraceBatch, cursor: TraceCursor) -> None:
-        """Cache the batch's run columns for the arithmetic commits."""
+        """Cache the batch's plain-run column for the arithmetic commits."""
         self._run_ends = batch.plain_run_ends()
-        # Quiet runs (no branch/serializing/sync) extend the arithmetic
-        # commit across memory ops whose hits are pre-committed by a D-side
-        # run: every quiet instruction with a verified fetch and a memoized
-        # data hit costs exactly one cycle under one-IPC semantics.
-        self._quiet_ends = batch.quiet_run_ends()
 
     def simulate_interval(self, run_until: int) -> None:
         """Run the one-IPC kernel until ``sim_time`` reaches ``run_until``.
@@ -144,14 +138,6 @@ class OneIPCCore(ColumnarKernelCore):
         # the batched probe entirely.
         skip_flags = batch.fetch_skip_template if batch.has_sync else None
         run_ends = self._run_ends
-        quiet_ends = self._quiet_ends
-        line_runs = self._line_runs
-        # D-side run-commit state (columns are None when the hierarchy rules
-        # the fast path out).  d_limit mirrors self._data_run_limit; every
-        # mutation writes through, so early returns need no store-back.
-        data_runs = self._data_runs
-        mem_prefix = self._mem_prefix
-        store_prefix = self._store_prefix
         plain = KLASS_PLAIN
         n = self._n
         pos = self._head
@@ -162,10 +148,6 @@ class OneIPCCore(ColumnarKernelCore):
         probe = hierarchy.instruction_probe
         fetch_block = hierarchy.access_block
         data_probe = hierarchy.data_probe
-        data_run_commit = hierarchy.data_run_commit
-        epochs = hierarchy._l1d_epoch
-        fault_epochs = hierarchy._l1d_fault_epoch
-        d_limit = self._data_run_limit
         predictor_access = self.predictor.access
         fe_depth = self.core_config.frontend_pipeline_depth
         instr_count = stats.instructions
@@ -244,7 +226,7 @@ class OneIPCCore(ColumnarKernelCore):
                 # One batched probe commits every upcoming fetch hit and
                 # stops at the next I-side miss event.
                 fetch_limit = fetch_block(
-                    core_id, pcs, pos, n, skip_flags, _F_NOFETCH, line_runs
+                    core_id, pcs, pos, n, skip_flags, _F_NOFETCH
                 )
                 if fetch_limit == pos:
                     result = probe(core_id, pcs[pos], sim_time)
@@ -276,97 +258,28 @@ class OneIPCCore(ColumnarKernelCore):
             elif k == _LOAD or k == _STORE:
                 # -- data access: loads observe the whole miss penalty --
                 is_store = k == _STORE
-                in_run = False
-                if pos < d_limit:
-                    if epochs[core_id] == self._data_run_epoch:
-                        in_run = True
-                    else:
-                        # A remote coherence action bumped the epoch since
-                        # the run was committed (only possible across
-                        # simulate_interval calls): roll back the unconsumed
-                        # pre-committed hits and replay per access.
-                        hierarchy.data_run_abort(core_id, self._data_run_left)
-                        stats.data_run_aborts += 1
-                        if fault_epochs[core_id] != self._data_run_fault_epoch:
-                            stats.runs_aborted_by_fault += 1
-                        d_limit = self._data_run_limit = 0
-                elif data_runs is not None:
-                    end = data_runs[pos]
-                    if end > pos + 1:
-                        n_acc = mem_prefix[end] - mem_prefix[pos]
-                        if n_acc >= 2 and data_run_commit(
-                            core_id,
-                            addrs[pos],
-                            store_prefix[end] > store_prefix[pos],
-                            n_acc,
-                        ):
-                            stats.data_runs_committed += 1
-                            d_limit = self._data_run_limit = end
-                            self._data_run_epoch = epochs[core_id]
-                            self._data_run_fault_epoch = fault_epochs[core_id]
-                            self._data_run_left = n_acc
-                            in_run = True
-                if in_run:
-                    if penalty == 0:
-                        # Quiet-span arithmetic commit: every instruction in
-                        # [pos, stop) is a verified fetch hit that is either
-                        # plain or a pre-committed memo hit (no branch,
-                        # serializing or sync op), so each costs exactly one
-                        # cycle under one-IPC semantics.
-                        limit = quiet_ends[pos]
-                        if limit > d_limit:
-                            limit = d_limit
-                        if limit > fetch_limit:
-                            limit = fetch_limit
-                        span = limit - pos
-                        budget = run_until - sim_time  # driver bound
-                        if span > budget:
-                            span = int(budget)
-                        stop = pos + span
-                        n_mem = mem_prefix[stop] - mem_prefix[pos]
-                        n_store = store_prefix[stop] - store_prefix[pos]
-                        stats.dcache_accesses += n_mem
-                        stats.committed_stores += n_store
-                        stats.committed_loads += n_mem - n_store
-                        self._data_run_left -= n_mem
-                        instr_count += span
-                        sim_time += span
-                        pos = stop
-                        if pos >= n:
-                            fin_cycle = sim_time - 1
-                            break
-                        continue
-                    # A fetch penalty at this position: consume this single
-                    # pre-committed hit through the shared tail below.
-                    stats.dcache_accesses += 1
+                result = data_probe(core_id, addrs[pos], is_store, sim_time)
+                stats.dcache_accesses += 1
+                if result is None:
+                    # L1/TLB hit: no penalty.
                     if is_store:
                         stats.committed_stores += 1
                     else:
                         stats.committed_loads += 1
-                    self._data_run_left -= 1
                 else:
-                    result = data_probe(core_id, addrs[pos], is_store, sim_time)
-                    stats.dcache_accesses += 1
-                    if result is None:
-                        # L1/TLB hit: no penalty.
-                        if is_store:
-                            stats.committed_stores += 1
-                        else:
-                            stats.committed_loads += 1
+                    if result.l1_miss:
+                        stats.l1d_misses += 1
+                    if result.tlb_miss:
+                        stats.dtlb_misses += 1
+                    if is_store:
+                        # Stores retire through the store buffer; they
+                        # do not stall the one-IPC core.
+                        stats.committed_stores += 1
                     else:
-                        if result.l1_miss:
-                            stats.l1d_misses += 1
-                        if result.tlb_miss:
-                            stats.dtlb_misses += 1
-                        if is_store:
-                            # Stores retire through the store buffer; they
-                            # do not stall the one-IPC core.
-                            stats.committed_stores += 1
-                        else:
-                            stats.committed_loads += 1
-                            penalty += result.penalty
-                            if result.long_latency:
-                                stats.long_latency_loads += 1
+                        stats.committed_loads += 1
+                        penalty += result.penalty
+                        if result.long_latency:
+                            stats.long_latency_loads += 1
             # else: serializing — fetch-only under one-IPC semantics.
 
             instr_count += 1

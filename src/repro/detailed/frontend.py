@@ -84,9 +84,6 @@ class FrontEnd:
         # Exclusive end of the verified-fetch run: positions below it have
         # already performed their (hitting) fetch through the batched probe.
         self._fetch_limit = 0
-        # Fetch-line run column for the batched probe (None when the
-        # configuration rules the run-column fast path out).
-        self._line_runs: Optional[List[int]] = None
 
     def bind(self, cursor: TraceCursor) -> None:
         """Attach the functional instruction stream."""
@@ -98,10 +95,6 @@ class FrontEnd:
         self._length = batch.length
         # The cursor position accounts for any functionally-warmed prefix.
         self._fetch_limit = cursor.position
-        shift = self.hierarchy.fetch_run_shift()
-        self._line_runs = (
-            batch.fetch_line_runs(shift) if shift is not None else None
-        )
 
     # -- state queries -------------------------------------------------------------
 
@@ -198,7 +191,7 @@ class FrontEnd:
                 # One batched probe commits every upcoming fetch hit and
                 # stops at the next I-side miss event.
                 fetch_limit = self.hierarchy.access_block(
-                    self.core_id, pcs, position, n, line_runs=self._line_runs
+                    self.core_id, pcs, position, n
                 )
                 if fetch_limit == position:
                     result = self.hierarchy.instruction_probe(

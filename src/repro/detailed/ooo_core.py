@@ -32,7 +32,6 @@ from ..common.config import MachineConfig
 from ..common.isa import Instruction, InstructionClass, SyncKind
 from ..common.stats import CoreStats
 from ..memory.hierarchy import MemoryHierarchy
-from ..core.kernel import bind_data_runs
 from ..multicore.simulator import CoreModel
 from ..multicore.sync import SynchronizationManager
 from ..trace.stream import TraceCursor
@@ -111,10 +110,6 @@ class DetailedCore(CoreModel):
         self._issue_scan_needed = True
         self._l1d_hit_latency = config.memory.l1d.hit_latency
         self._lat: List[int] = []
-        # Inlined D-side memo aliases (None when the memo fast path is not
-        # live); bound per thread so load issue and store commit can answer
-        # the repeat-line case without a data_probe call.
-        self._dmemo = None
         # Event-driven issue state: ready entries bucketed by the cycle they
         # become eligible, a min-heap of occupied bucket cycles, and a
         # monotonic dispatch counter whose order is the ROB order (the sort
@@ -135,30 +130,6 @@ class DetailedCore(CoreModel):
         self._lat = cursor.trace.batch().latency_table(
             self.core_config.execution_latencies
         )
-        # Bind the D-side run columns like the kernel cores do (the detailed
-        # model issues loads out of order between in-order store drains, so
-        # it cannot commit whole runs — but the uniform binding keeps the
-        # columns available) and alias the memo state for the inlined
-        # repeat-line fast path below.  The lists live for the hierarchy's
-        # lifetime (reset_data_memo clears in place) and the per-core stats
-        # objects are bound once at construction, so the aliases never go
-        # stale.
-        bind_data_runs(self, cursor.trace.batch())
-        dmemo = self.hierarchy.data_memo_view(self.core_id)
-        self._dmemo = dmemo
-        if dmemo is not None:
-            (
-                self._d_memo_block,
-                self._d_memo_page,
-                self._d_memo_epoch,
-                self._d_memo_writable,
-                self._d_epochs,
-                self._d_offset_bits,
-                self._d_page_shift,
-                self._d_implies_page,
-                self._d_dtlb_stats,
-                self._d_l1d_stats,
-            ) = dmemo
 
     def simulate_cycle(self, multi_core_time: int) -> None:
         """Simulate one clock cycle: commit, issue, dispatch, fetch."""
@@ -304,40 +275,19 @@ class DetailedCore(CoreModel):
                 # guard must be an identity check, not truthiness.
                 assert instruction.mem_addr is not None
                 address = instruction.mem_addr
-                core_id = self.core_id
-                if (
-                    self._dmemo is not None
-                    and address >> self._d_offset_bits
-                    == self._d_memo_block[core_id]
-                    and self._d_memo_epoch[core_id] == self._d_epochs[core_id]
-                    and self._d_memo_writable[core_id]
-                    and (
-                        self._d_implies_page
-                        or address >> self._d_page_shift
-                        == self._d_memo_page[core_id]
-                    )
-                ):
-                    # Inlined memo hit: the memoized line is Modified (the
-                    # one state where a repeat store is penalty-free and
-                    # transition-free), so the write drains at the hit
-                    # latency — identical to data_probe's fast path.
-                    self._d_dtlb_stats.accesses += 1
-                    self._d_l1d_stats.accesses += 1
-                    stats.dcache_accesses += 1
+                result = self.hierarchy.data_probe(
+                    self.core_id, address, True, now
+                )
+                stats.dcache_accesses += 1
+                if result is None:
+                    # Penalty-free hit: the write drains at the hit latency.
                     self.store_buffer.push(now + self._l1d_hit_latency)
                 else:
-                    result = self.hierarchy.data_probe(core_id, address, True, now)
-                    stats.dcache_accesses += 1
-                    if result is None:
-                        # Penalty-free hit: the write drains at the hit
-                        # latency.
-                        self.store_buffer.push(now + self._l1d_hit_latency)
-                    else:
-                        if result.l1_miss:
-                            stats.l1d_misses += 1
-                        if result.tlb_miss:
-                            stats.dtlb_misses += 1
-                        self.store_buffer.push(now + result.total_latency)
+                    if result.l1_miss:
+                        stats.l1d_misses += 1
+                    if result.tlb_miss:
+                        stats.dtlb_misses += 1
+                    self.store_buffer.push(now + result.total_latency)
                 stats.committed_stores += 1
             self.rob.pop_head()
             if is_memory:
@@ -464,39 +414,22 @@ class DetailedCore(CoreModel):
 
         if kcode == _LOAD:
             assert instruction.mem_addr is not None
-            address = instruction.mem_addr
-            core_id = self.core_id
-            if (
-                self._dmemo is not None
-                and address >> self._d_offset_bits == self._d_memo_block[core_id]
-                and self._d_memo_epoch[core_id] == self._d_epochs[core_id]
-                and (
-                    self._d_implies_page
-                    or address >> self._d_page_shift == self._d_memo_page[core_id]
-                )
-            ):
-                # Inlined memo hit (a load needs no writability check):
-                # identical in every observable effect to data_probe's
-                # memoized fast path — two counter bumps, no LRU motion.
-                self._d_dtlb_stats.accesses += 1
-                self._d_l1d_stats.accesses += 1
-                self.stats.dcache_accesses += 1
+            result = self.hierarchy.data_probe(
+                self.core_id, instruction.mem_addr, False, now
+            )
+            self.stats.dcache_accesses += 1
+            if result is None:
+                # Penalty-free hit: the load completes at the hit latency.
                 latency = max(latency, self._l1d_hit_latency)
             else:
-                result = self.hierarchy.data_probe(core_id, address, False, now)
-                self.stats.dcache_accesses += 1
-                if result is None:
-                    # Penalty-free hit: the load completes at the hit latency.
-                    latency = max(latency, self._l1d_hit_latency)
-                else:
-                    if result.l1_miss:
-                        self.stats.l1d_misses += 1
-                    if result.tlb_miss:
-                        self.stats.dtlb_misses += 1
-                    if result.long_latency:
-                        self.stats.long_latency_loads += 1
-                    latency = max(latency, result.total_latency)
-                    entry.memory_penalty = result.penalty
+                if result.l1_miss:
+                    self.stats.l1d_misses += 1
+                if result.tlb_miss:
+                    self.stats.dtlb_misses += 1
+                if result.long_latency:
+                    self.stats.long_latency_loads += 1
+                latency = max(latency, result.total_latency)
+                entry.memory_penalty = result.penalty
         elif kcode == _STORE:
             # Address generation only; the write happens at commit.
             latency = 1

@@ -17,13 +17,13 @@ the penalty (interval analysis adds it to the per-core simulated time, the
 detailed model schedules the instruction's completion accordingly).
 
 For the interval-at-a-time kernel the hierarchy additionally exposes batched
-probes (:meth:`MemoryHierarchy.instruction_probe`,
-:meth:`MemoryHierarchy.access_block`, :meth:`MemoryHierarchy.warm_block` on
-the instruction side; :meth:`MemoryHierarchy.data_run_commit` /
-:meth:`MemoryHierarchy.warm_data_run` against the D-side epoch memo) whose
-observable effects are instruction-for-instruction identical to the
-per-access API but whose dispatch overhead is paid per miss *event* (or per
-same-line run) rather than per instruction.
+instruction-side probes (:meth:`MemoryHierarchy.instruction_probe`,
+:meth:`MemoryHierarchy.access_block`, :meth:`MemoryHierarchy.warm_block`)
+whose observable effects are instruction-for-instruction identical to the
+per-access API but whose dispatch overhead is paid per miss *event* rather
+than per instruction.  The data side stays per-access
+(:meth:`MemoryHierarchy.data_probe`, :meth:`MemoryHierarchy.warm_data`),
+short-circuited only by a per-core memo of the last line touched.
 """
 
 from __future__ import annotations
@@ -48,22 +48,6 @@ _ST_SHARED = CoherenceState.SHARED
 _ST_EXCLUSIVE = CoherenceState.EXCLUSIVE
 _ST_OWNED = CoherenceState.OWNED
 _ST_MODIFIED = CoherenceState.MODIFIED
-
-
-def _count_flagged(flags: bytearray, lo: int, hi: int, mask: int) -> int:
-    """Number of positions in ``[lo, hi)`` whose flag byte intersects ``mask``.
-
-    The dominant case — no flag byte set anywhere in the run — is answered by
-    one C-level ``count`` call; only runs that actually contain nonzero bytes
-    (sync pseudo-ops, overlap-marked spans) fall back to the per-byte test.
-    """
-    if flags.count(0, lo, hi) == hi - lo:
-        return 0
-    count = 0
-    for index in range(lo, hi):
-        if flags[index] & mask:
-            count += 1
-    return count
 
 
 @dataclass(slots=True)
@@ -126,16 +110,6 @@ class MemoryHierarchy:
         flags used by the Figure-4 study).
     """
 
-    #: Class-level switch for the batched D-side fast paths (run commits and
-    #: inlined memo-hit tests).  ``True`` (default) lets consumers that bound
-    #: the :meth:`~repro.trace.columnar.TraceBatch.data_run_ends` column
-    #: commit whole same-line memo-hit runs arithmetically; ``False``
-    #: restores the per-access :meth:`data_probe` path everywhere as a
-    #: test-only equivalence reference (the
-    #: ``MulticoreSimulator.park_blocked_cores`` pattern), held bit-identical
-    #: on every golden workload by ``tests/memory/test_data_runs.py``.
-    use_data_runs = True
-
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
         memory: MemoryConfig = config.memory
@@ -169,14 +143,6 @@ class MemoryHierarchy:
         # sound under coherence (the I-side commute argument does not
         # transfer to the data side — remote cores mutate L1d state).
         self._l1d_epoch: List[int] = [0] * num_cores
-        # Parallel per-core *fault* epochs: bumped only by the fault
-        # injector (fault_drop_line / fault_corrupt_line below), never by
-        # coherence.  Consumers that commit D-side runs snapshot this next
-        # to the coherence epoch, so a run abort can attribute itself to an
-        # injected fault (runs_aborted_by_fault) versus ordinary remote
-        # coherence traffic.  Cleared in place like the memo lists —
-        # kernels hold live aliases.
-        self._l1d_fault_epoch: List[int] = [0] * num_cores
         self.coherence = CoherenceController(
             self.l1d, memory.coherence_protocol, epochs=self._l1d_epoch
         )
@@ -246,75 +212,6 @@ class MemoryHierarchy:
     def num_cores(self) -> int:
         """Number of cores the hierarchy serves."""
         return len(self.l1d)
-
-    def fetch_run_shift(self) -> Optional[int]:
-        """The line shift batched fetch probes can exploit run columns for.
-
-        Returns the L1i offset-bit count when :meth:`access_block` /
-        :meth:`warm_block` accept a precomputed
-        :meth:`~repro.trace.columnar.TraceBatch.fetch_line_runs` column built
-        with that shift, or ``None`` when the configuration rules the fast
-        path out (an idealized I-side structure, or the degenerate geometry
-        where a same-line repeat does not imply a same-page repeat).
-        """
-        if self._perfect_itlb or self._perfect_l1i:
-            return None
-        if not self._fetch_block_implies_page:
-            return None
-        return self._l1i_offset_bits
-
-    def data_run_shift(self) -> Optional[int]:
-        """The line shift D-side run commits can exploit run columns for.
-
-        Returns the L1d offset-bit count when :meth:`data_run_commit` /
-        :meth:`warm_data_run` accept a
-        :meth:`~repro.trace.columnar.TraceBatch.data_run_ends` column built
-        with that shift, or ``None`` when the fast path is ruled out: the
-        :attr:`use_data_runs` kill-switch is off, a D-side structure is
-        idealized (no memo), or the degenerate geometry where a same-line
-        repeat does not imply a same-page repeat (the run validation checks
-        the line only).
-        """
-        if not self.use_data_runs:
-            return None
-        if self._perfect_dtlb or self._perfect_l1d:
-            return None
-        if not self._data_block_implies_page:
-            return None
-        return self._l1d_offset_bits
-
-    def data_memo_view(self, core_id: int):
-        """Aliases of the D-side memo state for inlined memo-hit tests.
-
-        Consumers that sit between batched run commits and the full
-        :meth:`data_probe` call — the interval model's overlap scan, the
-        detailed model's load-issue and store-commit stages — inline the
-        memo-hit condition against these aliases and perform the two counter
-        increments themselves, skipping the probe call for the repeat-line
-        case.  Returns ``(memo_block, memo_page, memo_epoch, memo_writable,
-        epochs, offset_bits, page_shift, block_implies_page, dtlb_stats,
-        l1d_stats)``, or ``None`` when the memo fast path is not live (an
-        idealized D-side structure, or the :attr:`use_data_runs` kill-switch
-        is off so every consumer falls back to :meth:`data_probe`).  The
-        lists stay valid for the hierarchy's lifetime:
-        :meth:`reset_data_memo` clears them in place.
-        """
-        if not self.use_data_runs:
-            return None
-        if self._perfect_dtlb or self._perfect_l1d:
-            return None
-        return (
-            self._data_memo_block,
-            self._data_memo_page,
-            self._data_memo_epoch,
-            self._data_memo_writable,
-            self._l1d_epoch,
-            self._l1d_offset_bits,
-            self._dtlb_page_shift,
-            self._data_block_implies_page,
-            self.dtlb[core_id].stats,
-            self.l1d[core_id].stats,
-        )
 
     # -- instruction side ---------------------------------------------------------
 
@@ -407,7 +304,6 @@ class MemoryHierarchy:
         stop: Optional[int] = None,
         flags: Optional[bytearray] = None,
         flag_mask: int = 0,
-        line_runs: Optional[Sequence[int]] = None,
     ) -> int:
         """Batched fetch probe: commit hits in order, stop at the miss event.
 
@@ -424,14 +320,6 @@ class MemoryHierarchy:
         Per-call dispatch overhead is paid once per *block* instead of once
         per instruction, which is what lets the interval kernel charge a whole
         inter-miss interval in one step.
-
-        ``line_runs``, when provided, must be the
-        :meth:`~repro.trace.columnar.TraceBatch.fetch_line_runs` column of
-        the same ``addresses`` sequence built with this hierarchy's
-        :meth:`fetch_run_shift` — each whole same-line run of memo hits then
-        commits as one arithmetic step, so the probe costs O(line
-        transitions) instead of O(instructions).  Ignored for configurations
-        :meth:`fetch_run_shift` rules out.
         """
         if stop is None:
             stop = len(addresses)
@@ -458,57 +346,7 @@ class MemoryHierarchy:
             # flag-free caller (no sync positions in range) gets a loop
             # without the per-position flag test.
             memo_hits = 0
-            if line_runs is not None and self._fetch_block_implies_page:
-                # Run-column fast path: every position in [index,
-                # line_runs[index]) shares position index's line, so after
-                # the per-line transition probe the rest of the run is memo
-                # hits committed arithmetically.
-                if flags is None:
-                    while index < stop:
-                        pc = addresses[index]
-                        block = pc >> offset_bits
-                        end = line_runs[index]
-                        if end > stop:
-                            end = stop
-                        if block == last_block:
-                            memo_hits += end - index
-                            index = end
-                            continue
-                        if not tlb.probe(pc) or cache.probe(pc) is None:
-                            break
-                        tlb.access(pc)
-                        cache.lookup(pc)
-                        last_block = block
-                        last_page = pc >> page_shift
-                        memo_hits += end - index - 1
-                        index = end
-                else:
-                    while index < stop:
-                        if flags[index] & flag_mask:
-                            index += 1
-                            continue
-                        pc = addresses[index]
-                        block = pc >> offset_bits
-                        end = line_runs[index]
-                        if end > stop:
-                            end = stop
-                        if block == last_block:
-                            memo_hits += (end - index) - _count_flagged(
-                                flags, index, end, flag_mask
-                            )
-                            index = end
-                            continue
-                        if not tlb.probe(pc) or cache.probe(pc) is None:
-                            break
-                        tlb.access(pc)
-                        cache.lookup(pc)
-                        last_block = block
-                        last_page = pc >> page_shift
-                        memo_hits += (end - index - 1) - _count_flagged(
-                            flags, index + 1, end, flag_mask
-                        )
-                        index = end
-            elif not self._fetch_block_implies_page:
+            if not self._fetch_block_implies_page:
                 # Degenerate geometry (lines larger than pages): the memo-hit
                 # test needs the page compare as well.
                 while index < stop:
@@ -599,7 +437,6 @@ class MemoryHierarchy:
         now: int = 0,
         flags: Optional[bytearray] = None,
         flag_mask: int = 0,
-        line_runs: Optional[Sequence[int]] = None,
     ) -> int:
         """Batched fetch that *completes* misses; returns accesses performed.
 
@@ -607,63 +444,13 @@ class MemoryHierarchy:
         the shared levels at time ``now``) instead of stopping the block —
         the access pattern functional warm-up and the overlap scan need,
         where the miss latency is not charged to anyone.  Entries whose
-        ``flags`` byte intersects ``flag_mask`` are skipped.  ``line_runs``
-        has :meth:`access_block` semantics: a matching
-        :meth:`~repro.trace.columnar.TraceBatch.fetch_line_runs` column turns
-        whole same-line runs into arithmetic commits.
+        ``flags`` byte intersects ``flag_mask`` are skipped.
         """
         if stop is None:
             stop = len(addresses)
         probe = self.instruction_probe
         performed = 0
         full_model = not self._perfect_itlb and not self._perfect_l1i
-        if full_model and line_runs is not None and self._fetch_block_implies_page:
-            # Run-column fast path (see access_block): one probe per line
-            # transition, the rest of each run is memo hits.  instruction_probe
-            # leaves the memo pointing at the line it serviced, so the live
-            # memo compare below matches the per-position reference exactly.
-            tlb_stats = self.itlb[core_id].stats
-            cache_stats = self.l1i[core_id].stats
-            memo_block = self._fetch_memo_block
-            offset_bits = self._l1i_offset_bits
-            memo_hits = 0
-            index = start
-            if flags is None:
-                while index < stop:
-                    pc = addresses[index]
-                    end = line_runs[index]
-                    if end > stop:
-                        end = stop
-                    if pc >> offset_bits == memo_block[core_id]:
-                        memo_hits += end - index
-                    else:
-                        probe(core_id, pc, now)
-                        memo_hits += end - index - 1
-                    performed += end - index
-                    index = end
-            else:
-                while index < stop:
-                    if flags[index] & flag_mask:
-                        index += 1
-                        continue
-                    pc = addresses[index]
-                    end = line_runs[index]
-                    if end > stop:
-                        end = stop
-                    span = (end - index) - _count_flagged(
-                        flags, index, end, flag_mask
-                    )
-                    if pc >> offset_bits == memo_block[core_id]:
-                        memo_hits += span
-                    else:
-                        probe(core_id, pc, now)
-                        memo_hits += span - 1
-                    performed += span
-                    index = end
-            if memo_hits:
-                tlb_stats.accesses += memo_hits
-                cache_stats.accesses += memo_hits
-            return performed
         if full_model:
             # Inline the MRU line/page memo so repeat fetches cost only the
             # counter updates (the dominant case inside a warmed block);
@@ -707,12 +494,9 @@ class MemoryHierarchy:
     def reset_data_memo(self) -> None:
         """Invalidate the data fast-path memo (after external L1d/D-TLB edits).
 
-        Clears the memo lists *in place* (never rebinds fresh list objects):
-        consumers hold live aliases of them — :meth:`data_memo_view` hands
-        them to the overlap scan and the detailed model, exactly like the
-        coherence controller aliases ``epochs=self._l1d_epoch`` — and a
-        rebind would silently decouple those aliases from the memo the data
-        path maintains.
+        Clears the memo lists in place, so any alias of them (such as a
+        test's view of the memo) stays coupled to the memo the data path
+        maintains.
         """
         num_cores = self.num_cores
         self._data_memo_block[:] = [-1] * num_cores
@@ -1045,96 +829,14 @@ class MemoryHierarchy:
             self._data_memo_epoch[core_id] = self._l1d_epoch[core_id]
             self._data_memo_writable[core_id] = install_state == _ST_MODIFIED
 
-    def data_run_commit(
-        self, core_id: int, address: int, has_store: bool, accesses: int
-    ) -> bool:
-        """Validate the memo once and commit a whole run's hit bookkeeping.
-
-        ``address`` is the effective address of a run of ``accesses``
-        consecutive memory ops on one L1d line (a span of the
-        :meth:`~repro.trace.columnar.TraceBatch.data_run_ends` column built
-        with :meth:`data_run_shift` — the shift's geometry gate makes the
-        same-page condition implicit).  When the memo currently holds that
-        line, the owning core's coherence epoch is unchanged since the memo
-        was written and — if the run contains a store — the memoized line was
-        left in Modified state, then *every* op in the run is a memo hit in
-        the per-access reference, and its entire observable effect (one D-TLB
-        access and one L1d access each, no memo/LRU/coherence change) commits
-        here as one arithmetic step.  Returns ``False``, touching nothing,
-        when the validation fails.
-
-        Soundness (parallel to :meth:`access_block`'s early-commit argument,
-        adapted to the data side where remote cores *do* mutate L1d state):
-
-        * Within one ``simulate_interval`` call no other core executes, so
-          the epoch — bumped only by *remote* cores' coherence requests —
-          cannot change mid-run while the owning core runs.
-        * The run itself re-validates the memo-hit condition it committed:
-          memo hits touch neither the memo nor any LRU state, every in-run
-          load is a hit (hence never long-latency, hence the interval model's
-          overlap scan — the only other source of data probes and overlap
-          flags — cannot fire inside a committed run), and every in-run store
-          required Modified state (no coherence transition).  The memo
-          therefore stays exactly as validated for the remainder of the run.
-        * Across ``simulate_interval`` calls (a driver or sync boundary mid-
-          run) remote cores may bump the epoch; consumers compare the epoch
-          before consuming each remaining op and call :meth:`data_run_abort`
-          with the unconsumed remainder the moment it changed, falling back
-          to per-access :meth:`data_probe`.  The early commit plus rollback
-          is invisible because no other component reads this core's private
-          D-TLB/L1d access counters and totals are only observed between
-          hierarchy calls.
-        """
-        if (
-            address >> self._l1d_offset_bits == self._data_memo_block[core_id]
-            and self._data_memo_epoch[core_id] == self._l1d_epoch[core_id]
-            and (not has_store or self._data_memo_writable[core_id])
-        ):
-            self.dtlb[core_id].stats.accesses += accesses
-            self.l1d[core_id].stats.accesses += accesses
-            return True
-        return False
-
-    def data_run_abort(self, core_id: int, accesses: int) -> None:
-        """Roll back the unconsumed remainder of a committed data run.
-
-        Called by consumers the moment ``core_id``'s coherence epoch no
-        longer matches the one a :meth:`data_run_commit` validated:
-        ``accesses`` pre-committed hit accesses were not (and now will not
-        be) consumed, so they are subtracted back off the counters and the
-        remaining ops replay through per-access :meth:`data_probe`.  The
-        rollback is exact — the commit touched nothing but these two
-        counters — and invisible, since private counter totals are only
-        observed between hierarchy calls.
-        """
-        self.dtlb[core_id].stats.accesses -= accesses
-        self.l1d[core_id].stats.accesses -= accesses
-
-    def warm_data_run(
-        self, core_id: int, address: int, has_store: bool, accesses: int
-    ) -> bool:
-        """Functional-warming sibling of :meth:`data_run_commit`.
-
-        :meth:`warm_data`'s memo-hit path is identical to
-        :meth:`data_probe`'s (two counter increments, no state change), so
-        the run validation and commit are the same arithmetic.  Warm-up
-        commits are always clamped to the current round-robin chunk: threads
-        replay chunk-sequentially, no remote core runs mid-chunk, so the
-        epoch cannot change under a committed run and no abort sibling is
-        needed.
-        """
-        return self.data_run_commit(core_id, address, has_store, accesses)
-
     # -- fault injection -----------------------------------------------------------
 
     def fault_victim_line(self, core_id: int, level: str) -> Optional[int]:
         """Line address of ``core_id``'s MRU line at ``level``, or ``None``.
 
         Adversarial targeting for the fault injector: the most recently
-        accessed line (read off the fetch/data memos, which both the fast
-        and per-access reference paths maintain identically) is exactly the
-        line a live memo or committed run depends on.  Returns ``None``
-        while the memo is cold.
+        accessed line (read off the fetch/data memos) is exactly the line a
+        live memo depends on.  Returns ``None`` while the memo is cold.
         """
         if level == "l1i":
             block = self._fetch_memo_block[core_id]
@@ -1151,10 +853,8 @@ class MemoryHierarchy:
         the bookkeeping that made the line's residency observable without a
         probe is invalidated the same way a remote coherence action would
         invalidate it: an L1d drop bumps the core's coherence epoch (so the
-        D-side memo and any live committed run abort through the existing
-        :meth:`data_run_abort` path) plus its parallel fault epoch (so the
-        abort is attributed to the fault); an L1i drop resets the core's
-        fetch memo.  Returns the number of lines actually dropped (0 or 1)
+        D-side memo no longer matches and the next access probes the cache);
+        an L1i drop resets the core's fetch memo.  Returns the number of lines actually dropped (0 or 1)
         — the forced-refetch count.
         """
         if level == "l1i":
@@ -1168,7 +868,6 @@ class MemoryHierarchy:
             return 0
         dropped = 1 if self.l1d[core_id].drop_line(address) else 0
         self._l1d_epoch[core_id] += 1
-        self._l1d_fault_epoch[core_id] += 1
         return dropped
 
     def fault_corrupt_line(self, address: int, level: str = "l1d") -> int:
@@ -1178,7 +877,7 @@ class MemoryHierarchy:
         *and* the shared L2, so the next access refetches from DRAM.  Every
         core's epoch (L1d) or fetch memo (L1i) is perturbed unconditionally
         — the corruption event hits the whole chip's control plane, which
-        is the adversarial case for the batched fast paths.  Returns the
+        is the adversarial case for the memos.  Returns the
         number of lines dropped across all caches.
         """
         dropped = 0
@@ -1193,7 +892,6 @@ class MemoryHierarchy:
                 if cache.drop_line(address):
                     dropped += 1
                 self._l1d_epoch[core_id] += 1
-                self._l1d_fault_epoch[core_id] += 1
         if self.l2 is not None and self.l2.drop_line(address):
             dropped += 1
         return dropped

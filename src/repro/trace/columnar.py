@@ -14,19 +14,22 @@ and the :class:`~repro.common.isa.Instruction` objects remain the interface
 for the structures that genuinely need them (branch predictors, the detailed
 reference model).  Consumers index the columns with the same positions a
 cursor reports, so cursor-based and columnar access can be mixed freely.
+
+Beyond the per-field columns the batch derives exactly two, each one
+pure-python pass built at most once per trace: :meth:`TraceBatch.plain_run_ends`
+(the extents the one-IPC kernel and functional warm-up commit in one step)
+and :attr:`TraceBatch.fetch_skip_template` (the positions that never fetch).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..common import fastpath
 from ..common.isa import Instruction, InstructionClass
 
 __all__ = [
     "TraceBatch",
     "KLASS_PLAIN",
-    "KLASS_QUIET",
     "LINE_SHIFT",
     "FLAG_NO_FETCH",
 ]
@@ -56,21 +59,6 @@ KLASS_PLAIN: Tuple[bool, ...] = tuple(
     )
     for code in InstructionClass
 )
-
-#: ``KLASS_QUIET[code]`` is ``True`` for instruction classes that cost exactly
-#: one cycle under one-IPC semantics once their fetch and data accesses are
-#: pre-verified: plain instructions plus loads/stores.  Branches (predictor
-#: access), serializing instructions and sync pseudo-ops break a quiet run.
-KLASS_QUIET: Tuple[bool, ...] = tuple(
-    code
-    not in (
-        InstructionClass.BRANCH,
-        InstructionClass.SERIALIZING,
-        InstructionClass.SYNC,
-    )
-    for code in InstructionClass
-)
-
 
 class TraceBatch:
     """Struct-of-arrays decomposition of one committed instruction stream.
@@ -117,11 +105,6 @@ class TraceBatch:
         "has_sync",
         "length",
         "_plain_run_ends",
-        "_quiet_run_ends",
-        "_line_runs",
-        "_data_runs",
-        "_mem_prefix",
-        "_store_prefix",
     )
 
     def __init__(self, instructions: Sequence[Instruction]) -> None:
@@ -151,28 +134,13 @@ class TraceBatch:
         # per-position flag test entirely (single-threaded traces).
         sync_code = int(InstructionClass.SYNC)
         self.has_sync = bool(self.klass.count(sync_code))
-        np = fastpath.numpy
-        if self.has_sync and np is not None:
-            codes = np.array(self.klass, dtype=np.int64)
-            template = bytearray(
-                ((codes == sync_code) * FLAG_NO_FETCH).astype(np.uint8).tobytes()
-            )
-        else:
-            template = bytearray(self.length)
-            if self.has_sync:
-                for position, code in enumerate(self.klass):
-                    if code == sync_code:
-                        template[position] = FLAG_NO_FETCH
+        template = bytearray(self.length)
+        if self.has_sync:
+            for position, code in enumerate(self.klass):
+                if code == sync_code:
+                    template[position] = FLAG_NO_FETCH
         self.fetch_skip_template = template
         self._plain_run_ends: Optional[List[int]] = None
-        self._quiet_run_ends: Optional[List[int]] = None
-        # Per-shift cache of the fetch-line run column (see fetch_line_runs).
-        self._line_runs: Dict[int, List[int]] = {}
-        # Per-shift cache of the data-side run column (see data_run_ends)
-        # plus the memory-op/store prefix sums (see data_run_prefixes).
-        self._data_runs: Dict[int, List[int]] = {}
-        self._mem_prefix: Optional[List[int]] = None
-        self._store_prefix: Optional[List[int]] = None
 
     def __len__(self) -> int:
         return self.length
@@ -191,203 +159,18 @@ class TraceBatch:
         """
         ends = self._plain_run_ends
         if ends is None:
-            ends = self._class_run_ends(KLASS_PLAIN)
+            klass = self.klass
+            length = self.length
+            ends = [0] * length
+            next_event = length
+            for position in range(length - 1, -1, -1):
+                if KLASS_PLAIN[klass[position]]:
+                    ends[position] = next_event
+                else:
+                    ends[position] = position
+                    next_event = position
             self._plain_run_ends = ends
         return ends
-
-    def quiet_run_ends(self) -> List[int]:
-        """Exclusive end of the *quiet* run starting at each position.
-
-        Like :meth:`plain_run_ends` but with loads and stores counted as part
-        of the run: ``quiet_run_ends()[i]`` is the first position at or after
-        ``i`` holding a branch, serializing instruction or sync pseudo-op.
-        The one-IPC kernel commits a whole quiet span as one arithmetic step
-        once every fetch in it is verified and every memory op in it sits
-        inside a committed data-side run (each then costs exactly one cycle).
-        Built lazily and cached.
-        """
-        ends = self._quiet_run_ends
-        if ends is None:
-            ends = self._class_run_ends(KLASS_QUIET)
-            self._quiet_run_ends = ends
-        return ends
-
-    def _class_run_ends(self, allowed: Tuple[bool, ...]) -> List[int]:
-        """Exclusive end of the run of ``allowed``-class instructions at each
-        position (the position itself when its class is not allowed)."""
-        np = fastpath.numpy
-        length = self.length
-        if np is not None and length:
-            # Disallowed positions point at themselves, allowed positions at
-            # the trace end; a reversed running minimum then snaps every
-            # allowed position to the nearest breaker at or after it.
-            codes = np.array(self.klass, dtype=np.int64)
-            in_run = np.array(allowed, dtype=bool)[codes]
-            cand = np.where(in_run, length, np.arange(length, dtype=np.int64))
-            return np.minimum.accumulate(cand[::-1])[::-1].tolist()
-        klass = self.klass
-        ends = [0] * length
-        next_event = length
-        for position in range(length - 1, -1, -1):
-            if allowed[klass[position]]:
-                ends[position] = next_event
-            else:
-                ends[position] = position
-                next_event = position
-        return ends
-
-    def fetch_line_runs(self, offset_bits: int) -> List[int]:
-        """Exclusive end of the same-fetch-line run containing each position.
-
-        ``fetch_line_runs(b)[i]`` is the index of the first position after
-        ``i`` whose ``pc >> b`` differs from position ``i``'s (or
-        :attr:`length` when the trace ends first).  The hierarchy's batched
-        fetch probes (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_block`,
-        :meth:`~repro.memory.hierarchy.MemoryHierarchy.warm_block`) use the
-        column to commit each whole same-line run of memo hits as one
-        arithmetic step, making the probe O(line transitions) instead of
-        O(instructions).  Built lazily, cached per shift, and shared by every
-        consumer of the batch.
-        """
-        runs = self._line_runs.get(offset_bits)
-        if runs is None:
-            length = self.length
-            np = fastpath.numpy
-            if np is not None and length:
-                blocks = np.array(self.pc, dtype=np.int64) >> offset_bits
-                # Last-of-run positions point one past themselves, everything
-                # else at the trace end; a reversed running minimum gives each
-                # position its run's exclusive end.
-                boundary = np.empty(length, dtype=bool)
-                np.not_equal(blocks[1:], blocks[:-1], out=boundary[:-1])
-                boundary[-1] = True
-                cand = np.where(
-                    boundary, np.arange(1, length + 1, dtype=np.int64), length
-                )
-                runs = np.minimum.accumulate(cand[::-1])[::-1].tolist()
-            else:
-                pcs = self.pc
-                runs = [0] * length
-                if length:
-                    runs[length - 1] = length
-                    next_block = pcs[length - 1] >> offset_bits
-                    for position in range(length - 2, -1, -1):
-                        block = pcs[position] >> offset_bits
-                        if block == next_block:
-                            runs[position] = runs[position + 1]
-                        else:
-                            runs[position] = position + 1
-                            next_block = block
-            self._line_runs[offset_bits] = runs
-        return runs
-
-    def data_run_ends(self, offset_bits: int) -> List[int]:
-        """Exclusive end of the same-line *memory-op* run containing each op.
-
-        For a load/store at position ``i``, ``data_run_ends(b)[i]`` is one
-        past the position of the last memory op in the maximal sequence of
-        consecutive memory ops — interleaved non-memory instructions do not
-        break the sequence — whose effective addresses all share position
-        ``i``'s L1d line (``mem_addr >> b``).  Non-memory positions hold 0.
-        Runs are the spans the hierarchy's
-        :meth:`~repro.memory.hierarchy.MemoryHierarchy.data_run_commit` can
-        validate against the D-side epoch memo once and commit arithmetically
-        (``b`` must be the hierarchy's
-        :meth:`~repro.memory.hierarchy.MemoryHierarchy.data_run_shift`, whose
-        geometry gate makes a same-line repeat imply a same-page repeat).
-        Built lazily, cached per shift, and shared by every consumer of the
-        batch.
-        """
-        runs = self._data_runs.get(offset_bits)
-        if runs is None:
-            length = self.length
-            addrs = self.mem_addr
-            np = fastpath.numpy
-            if np is not None and length:
-                mem_idx = np.array(
-                    [i for i, a in enumerate(addrs) if a is not None],
-                    dtype=np.int64,
-                )
-                runs = [0] * length
-                if mem_idx.size:
-                    blocks = (
-                        np.array(
-                            [a for a in addrs if a is not None], dtype=np.int64
-                        )
-                        >> offset_bits
-                    )
-                    # Last-of-run memory ops point one past themselves,
-                    # everything else at the trace end; a reversed running
-                    # minimum over the memory-op subsequence gives each op its
-                    # run's exclusive end, scattered back to trace positions.
-                    boundary = np.empty(mem_idx.size, dtype=bool)
-                    np.not_equal(blocks[1:], blocks[:-1], out=boundary[:-1])
-                    boundary[-1] = True
-                    cand = np.where(boundary, mem_idx + 1, length)
-                    sub_ends = np.minimum.accumulate(cand[::-1])[::-1]
-                    full = np.zeros(length, dtype=np.int64)
-                    full[mem_idx] = sub_ends
-                    runs = full.tolist()
-            else:
-                runs = [0] * length
-                next_block: Optional[int] = None
-                next_end = 0
-                for position in range(length - 1, -1, -1):
-                    address = addrs[position]
-                    if address is None:
-                        continue
-                    block = address >> offset_bits
-                    if block != next_block:
-                        next_end = position + 1
-                        next_block = block
-                    runs[position] = next_end
-            self._data_runs[offset_bits] = runs
-        return runs
-
-    def data_run_prefixes(self) -> Tuple[List[int], List[int]]:
-        """``(mem_prefix, store_prefix)`` counts over trace prefixes.
-
-        ``mem_prefix[i]`` is the number of memory ops (loads and stores) at
-        positions ``< i`` and ``store_prefix[i]`` the number of stores, each
-        of length ``length + 1``, so the number of memory ops, loads or
-        stores in any span ``[i, e)`` — a :meth:`data_run_ends` run, a
-        :meth:`quiet_run_ends` span — is one subtraction.  Built lazily and
-        cached.
-        """
-        mem_prefix = self._mem_prefix
-        store_prefix = self._store_prefix
-        if mem_prefix is None or store_prefix is None:
-            np = fastpath.numpy
-            length = self.length
-            store_code = int(InstructionClass.STORE)
-            if np is not None and length:
-                is_mem = np.array(
-                    [a is not None for a in self.mem_addr], dtype=np.int64
-                )
-                is_store = (
-                    np.array(self.klass, dtype=np.int64) == store_code
-                ).astype(np.int64)
-                mem_prefix = [0] * (length + 1)
-                store_prefix = [0] * (length + 1)
-                mem_prefix[1:] = np.cumsum(is_mem).tolist()
-                store_prefix[1:] = np.cumsum(is_store).tolist()
-            else:
-                mem_prefix = [0] * (length + 1)
-                store_prefix = [0] * (length + 1)
-                mem_total = 0
-                store_total = 0
-                klass = self.klass
-                addrs = self.mem_addr
-                for position in range(length):
-                    if addrs[position] is not None:
-                        mem_total += 1
-                    if klass[position] == store_code:
-                        store_total += 1
-                    mem_prefix[position + 1] = mem_total
-                    store_prefix[position + 1] = store_total
-            self._mem_prefix = mem_prefix
-            self._store_prefix = store_prefix
-        return mem_prefix, store_prefix
 
     def latency_table(
         self, latencies: Optional[dict] = None

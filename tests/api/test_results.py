@@ -49,6 +49,19 @@ class TestSimulationStatsRoundTrip:
 
 
 class TestRunResultRoundTrip:
+    def test_retired_counter_keys_still_load(self):
+        # Results stored before the D-side run counters were removed carry
+        # them in every core dict; they must load and be dropped.
+        result = _small_run()
+        stored = json.loads(json.dumps(result.as_dict()))
+        for core in stored["stats"]["cores"]:
+            core.update(
+                data_runs_committed=5, data_run_aborts=1, runs_aborted_by_fault=1
+            )
+        rebuilt = RunResult.from_dict(stored)
+        assert rebuilt.stats == result.stats
+        assert "data_run_aborts" not in rebuilt.stats.cores[0].as_dict()
+
     def test_dict_round_trip(self):
         result = _small_run()
         rebuilt = RunResult.from_dict(json.loads(json.dumps(result.as_dict())))

@@ -85,6 +85,82 @@ def recorded_hierarchies(monkeypatch):
     return created
 
 
+class MemolessHierarchy(MemoryHierarchy):
+    """A hierarchy whose D-side accesses never take the epoch-memo shortcut.
+
+    Forgetting the memoized line before every :meth:`data_probe` /
+    :meth:`warm_data` call sends each access down the full TLB/L1d/coherence
+    path, so a run through this class is the per-access reference the memo
+    must reproduce bit for bit.
+    """
+
+    def data_probe(self, core_id, address, is_write, now=0):
+        self._data_memo_block[core_id] = -1
+        return super().data_probe(core_id, address, is_write, now)
+
+    def warm_data(self, core_id, address, is_write):
+        self._data_memo_block[core_id] = -1
+        super().warm_data(core_id, address, is_write)
+
+
+@pytest.fixture
+def memoless_hierarchy(monkeypatch):
+    """Build every multicore simulation's hierarchy as :class:`MemolessHierarchy`."""
+    monkeypatch.setattr(simulator_module, "MemoryHierarchy", MemolessHierarchy)
+    return MemolessHierarchy
+
+
+class PerAccessHierarchy(MemolessHierarchy):
+    """A hierarchy that also performs every fetch one at a time, memo-less.
+
+    :meth:`access_block` and :meth:`warm_block` become plain per-address
+    loops over :meth:`instruction_probe`, which forgets the memoized fetch
+    line before every call, so both the I-side MRU memo and the batched
+    memo loops are out of the picture.  A run through this class is the
+    per-access reference for the whole hierarchy.
+    """
+
+    def instruction_probe(self, core_id, pc, now=0):
+        self._fetch_memo_block[core_id] = -1
+        return super().instruction_probe(core_id, pc, now)
+
+    def access_block(
+        self, core_id, addresses, start=0, stop=None, flags=None, flag_mask=0
+    ):
+        if stop is None:
+            stop = len(addresses)
+        for index in range(start, stop):
+            if flags is not None and flags[index] & flag_mask:
+                continue
+            pc = addresses[index]
+            if not self._perfect_itlb and not self.itlb[core_id].probe(pc):
+                return index
+            if not self._perfect_l1i and self.l1i[core_id].probe(pc) is None:
+                return index
+            assert self.instruction_probe(core_id, pc) is None
+        return stop
+
+    def warm_block(
+        self, core_id, addresses, start=0, stop=None, now=0, flags=None, flag_mask=0
+    ):
+        if stop is None:
+            stop = len(addresses)
+        performed = 0
+        for index in range(start, stop):
+            if flags is not None and flags[index] & flag_mask:
+                continue
+            self.instruction_probe(core_id, addresses[index], now)
+            performed += 1
+        return performed
+
+
+@pytest.fixture
+def per_access_hierarchy(monkeypatch):
+    """Build every multicore simulation's hierarchy as :class:`PerAccessHierarchy`."""
+    monkeypatch.setattr(simulator_module, "MemoryHierarchy", PerAccessHierarchy)
+    return PerAccessHierarchy
+
+
 @pytest.fixture
 def coherence_invariants():
     """:func:`check_coherence_invariants`, for tests in any directory."""

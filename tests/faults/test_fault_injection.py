@@ -7,16 +7,15 @@ from the angles most likely to break it:
 
 * a ~50-schedule randomized fuzz sweeps seeded fault plans (every kind, in
   combination) across all three timing models and asserts the optimized
-  fast paths (batched data runs, parked event driver, event-driven issue
-  queues) stay **bit-identical** to the per-access/per-cycle reference
-  paths under every schedule;
-* an adversarial schedule uses MRU line targeting to land drops *inside*
-  committed data runs on a crafted same-line workload — the one window
-  where the fast path must notice mid-run invalidation and abort to the
-  per-access path;
+  fast paths (parked event driver, event-driven issue queues) stay
+  **bit-identical** to the per-cycle reference paths under every schedule;
+* an adversarial schedule uses MRU line targeting to drop exactly the line
+  the D-side memo names on a crafted same-line workload, and the run must
+  match a memo-less, per-cycle reference — a drop has to invalidate the
+  memo or the next access would hit a line that is gone;
 * the observability counters: they flow to ``RunResult`` metrics, they are
   reproducible run to run, and they are *excluded* from the deterministic
-  comparison dict (fast and reference paths attribute aborts differently);
+  comparison dict (they describe the injector, not the simulated machine);
 * the service-layer property: a faulted spec rebuilt through
   ``from_dict(to_dict())`` reruns bit-identically, so fault runs cache and
   resume like any other job.
@@ -33,7 +32,6 @@ from repro.api.session import run_spec
 from repro.common.isa import Instruction, InstructionClass
 from repro.detailed.ooo_core import DetailedCore
 from repro.faults import FaultPlan, FaultSpec
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.multicore.simulator import MulticoreSimulator
 from repro.trace.stream import ThreadTrace, Workload
 
@@ -144,7 +142,6 @@ class TestFuzzFastVsReference:
         coherence_invariants,
     ):
         fast = _run_faulted(model, bench, threads, total, warmup, plan)
-        monkeypatch.setattr(MemoryHierarchy, "use_data_runs", False)
         monkeypatch.setattr(MulticoreSimulator, "park_blocked_cores", False)
         monkeypatch.setattr(DetailedCore, "event_driven_issue", False)
         reference = _run_faulted(model, bench, threads, total, warmup, plan)
@@ -159,16 +156,16 @@ class TestFuzzFastVsReference:
 
 
 # ---------------------------------------------------------------------------
-# Adversarial: faults landing inside committed data runs
+# Adversarial: faults landing on the memoized line
 # ---------------------------------------------------------------------------
 
 
 def _same_line_trace(count: int) -> ThreadTrace:
     """ALU/memory mix whose memory ops all share one L1d line.
 
-    Mirrors the builder in ``tests/memory/test_data_runs.py``: the whole
-    trace is a single maximal data run, so MRU-targeted drops are guaranteed
-    to land on a line backing a committed run.
+    Mirrors the builder in ``tests/memory/test_data_memo.py``: every memory
+    op repeats one line, so MRU-targeted drops are guaranteed to land on the
+    line the D-side memo names.
     """
     base = 0x8000
     instructions = []
@@ -187,8 +184,8 @@ def _same_line_trace(count: int) -> ThreadTrace:
 
 
 #: Empty ``lines`` means adversarial MRU targeting: every drop lands on the
-#: victim core's most-recently-accessed L1d line — exactly the line backing
-#: the crafted workload's committed run.
+#: victim core's most-recently-accessed L1d line — exactly the line the
+#: crafted workload's D-side memo names.
 MRU_DROPS = FaultPlan(
     seed=3, specs=(FaultSpec(kind="drop_line", period=60, core=0),)
 )
@@ -206,22 +203,20 @@ def _run_same_line(model: str, plan: FaultPlan):
     )
 
 
-class TestFaultInsideCommittedRun:
-    @pytest.mark.parametrize("model", ["interval", "oneipc"])
-    def test_mru_drops_abort_committed_runs(self, model):
+class TestFaultOnMemoizedLine:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_mru_drops_force_refetches(self, model):
         result = _run_same_line(model, MRU_DROPS)
-        # The schedule actually fired, runs actually committed, and drops
-        # landing mid-run forced fault-attributed aborts.
+        # The schedule actually fired and its drops hit resident lines.
         assert result.stats.faults_injected > 0
-        assert result.stats.data_runs_committed > 0
-        assert result.stats.runs_aborted_by_fault > 0
+        assert result.stats.refetches_forced > 0
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_aborted_runs_match_per_access_reference(self, model, monkeypatch):
+    def test_mru_drops_match_memoless_reference(self, model, monkeypatch, request):
         fast = _run_same_line(model, MRU_DROPS)
-        monkeypatch.setattr(MemoryHierarchy, "use_data_runs", False)
         monkeypatch.setattr(MulticoreSimulator, "park_blocked_cores", False)
         monkeypatch.setattr(DetailedCore, "event_driven_issue", False)
+        request.getfixturevalue("memoless_hierarchy")
         reference = _run_same_line(model, MRU_DROPS)
         assert fast.stats.deterministic_dict() == reference.stats.deterministic_dict()
 
@@ -244,7 +239,6 @@ FAULT_COUNTERS = (
     "refetches_forced",
     "dram_retries",
     "retry_cycles",
-    "runs_aborted_by_fault",
 )
 
 

@@ -13,13 +13,18 @@ The interval kernel relies on three guarantees:
   access, completing misses in place.
 
 These tests pin the equivalences by running mirrored hierarchies side by
-side.
+side: hand-written streams against the per-access API, randomized streams
+and whole simulations against ``PerAccessHierarchy`` (``tests/conftest.py``),
+which performs every fetch and data access one at a time with no memo.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.api import Session
 from repro.common.config import default_machine_config
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -117,6 +122,68 @@ class TestAccessBlock:
         assert hierarchy.access_block(0, pcs, 0, 4) == 4
 
 
+    def test_matches_per_fetch_reference_on_a_random_stream(
+        self, per_access_hierarchy
+    ):
+        config = default_machine_config(num_cores=1)
+        batched = MemoryHierarchy(config)
+        reference = per_access_hierarchy(config)
+        pcs, flags = _random_fetch_stream(6000, seed=5)
+        rng = random.Random(6)
+        position = misses = 0
+        while position < len(pcs):
+            # Uneven block bounds carry the memo across calls.
+            stop = min(len(pcs), position + rng.randrange(1, 400))
+            got = batched.access_block(0, pcs, position, stop, flags, FLAG)
+            assert got == reference.access_block(0, pcs, position, stop, flags, FLAG)
+            assert _fetch_state(batched) == _fetch_state(reference)
+            position = got
+            if got < stop:
+                # Charge the miss event through the probe, as the kernels do.
+                result = batched.instruction_probe(0, pcs[got], position)
+                mirror = reference.instruction_probe(0, pcs[got], position)
+                assert result is not None and mirror is not None
+                assert (result.l1_miss, result.tlb_miss, result.penalty) == (
+                    mirror.l1_miss, mirror.tlb_miss, mirror.penalty
+                )
+                misses += 1
+                position += 1
+        # The stream must exercise both the stop and the evicting refill.
+        assert misses > 50
+        assert batched.l1i[0].stats.evictions > 0
+        assert _fetch_state(batched) == _fetch_state(reference)
+
+
+#: Flag bit the randomized streams mark as "never fetched".
+FLAG = 8
+
+
+def _random_fetch_stream(count, seed):
+    """Mostly sequential fetches with hot loops and far jumps.
+
+    Jumps land anywhere in a 256 KiB region (several times the L1i and
+    spanning many I-TLB pages), so the stream evicts lines and misses in
+    the I-TLB as well as re-hitting the memoized line.  About one position
+    in forty carries :data:`FLAG`.
+    """
+    rng = random.Random(seed)
+    pcs = []
+    pc = 0x40_0000
+    loop_start = pc
+    for _ in range(count):
+        pcs.append(pc)
+        roll = rng.random()
+        if roll < 0.04:
+            pc = 0x40_0000 + (rng.randrange(1 << 18) & ~0x3)
+            loop_start = pc
+        elif roll < 0.10:
+            pc = loop_start
+        else:
+            pc += 4
+    flags = bytearray(FLAG if rng.random() < 0.025 else 0 for _ in range(count))
+    return pcs, flags
+
+
 class TestWarmBlock:
     def test_completes_misses_in_place_and_counts_accesses(self):
         warmed, reference = _fresh_pair()
@@ -126,6 +193,29 @@ class TestWarmBlock:
         for pc in pcs:
             reference.instruction_access(0, pc, now=0)
         assert _fetch_state(warmed) == _fetch_state(reference)
+
+    def test_matches_per_fetch_reference_on_a_random_stream(
+        self, per_access_hierarchy
+    ):
+        config = default_machine_config(num_cores=1)
+        warmed = MemoryHierarchy(config)
+        reference = per_access_hierarchy(config)
+        pcs, flags = _random_fetch_stream(6000, seed=9)
+        rng = random.Random(10)
+        position = 0
+        while position < len(pcs):
+            stop = min(len(pcs), position + rng.randrange(1, 400))
+            performed = warmed.warm_block(0, pcs, position, stop, position, flags, FLAG)
+            assert performed == reference.warm_block(
+                0, pcs, position, stop, position, flags, FLAG
+            )
+            assert performed == sum(
+                1 for index in range(position, stop) if not flags[index] & FLAG
+            )
+            assert _fetch_state(warmed) == _fetch_state(reference)
+            position = stop
+        assert warmed.l1i[0].stats.evictions > 0
+        assert warmed.itlb[0].stats.misses > 0
 
 
 class TestDataProbe:
@@ -167,3 +257,31 @@ class TestFetchMemoSafety:
         hierarchy.reset_fetch_memo()
         result = hierarchy.instruction_probe(0, 0x40_0000, 0)
         assert result is not None and result.l1_miss
+
+
+# ---------------------------------------------------------------------------
+# Whole simulations against the per-access reference
+# ---------------------------------------------------------------------------
+
+
+def _run_gcc(simulator: str):
+    return (
+        Session()
+        .simulator(simulator)
+        .workload("gcc", instructions=3000, seed=4)
+        .warmup(1000)
+        .max_cycles(50_000_000)
+        .run()
+    )
+
+
+@pytest.mark.parametrize("simulator", ["interval", "oneipc", "detailed"])
+def test_memoized_run_matches_per_access_reference(simulator, request):
+    """Warm-up and timing through the memos equal the one-at-a-time run."""
+    memoized = _run_gcc(simulator)
+    request.getfixturevalue("per_access_hierarchy")
+    reference = _run_gcc(simulator)
+    assert reference.stats.memory_stats["l1i_misses"] > 0
+    assert (
+        memoized.stats.deterministic_dict() == reference.stats.deterministic_dict()
+    )

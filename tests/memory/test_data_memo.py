@@ -11,15 +11,40 @@ unchanged.
 
 These tests pin both halves: the fast path actually fires (no structure
 scans on repeat hits), and the epoch guard defeats the unsound-memo trap.
+Whole simulations are then held against the memo-less reference
+(``MemolessHierarchy`` in ``tests/conftest.py``, which forgets the memo
+before every access): every golden workload, a crafted same-line workload
+under all three models, two threads sharing that line with and without
+functional warm-up, and a two-core drive where a remote write lands on the
+memoized line between ``simulate_interval`` calls must reproduce it bit for
+bit.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import sys
+
 import pytest
 
+from repro.api import Session
+from repro.branch import create_branch_predictor
 from repro.common.config import default_machine_config
+from repro.common.isa import Instruction, InstructionClass
+from repro.common.stats import CoreStats
+from repro.core.interval_core import IntervalCore
 from repro.memory.cache import CoherenceState
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.trace.stream import ThreadTrace, Workload
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "regression")
+)
+from golden_corpus import GOLDEN_PATH, corpus_specs  # noqa: E402
+
+with open(GOLDEN_PATH, "r", encoding="utf-8") as _handle:
+    GOLDEN = json.load(_handle)
 
 
 def _hierarchy(num_cores: int = 1) -> MemoryHierarchy:
@@ -119,6 +144,22 @@ class TestCoherenceEpochGuard:
         hierarchy.data_probe(1, BLOCK, True, 0)  # upgrade: invalidate core 0
         assert hierarchy.coherence.epochs[0] == epoch_before + 2
 
+    def test_reset_data_memo_clears_in_place(self):
+        hierarchy = _hierarchy(2)
+        memo_block = hierarchy._data_memo_block
+        memo_page = hierarchy._data_memo_page
+        memo_epoch = hierarchy._data_memo_epoch
+        memo_writable = hierarchy._data_memo_writable
+        hierarchy.data_probe(0, BLOCK, True, 0)
+        assert memo_block[0] != -1 and memo_writable[0]
+        hierarchy.reset_data_memo()
+        # The same list objects observe the cleared state.
+        assert hierarchy._data_memo_block is memo_block
+        assert memo_block == [-1, -1]
+        assert memo_page == [-1, -1]
+        assert memo_epoch == [-1, -1]
+        assert memo_writable == [False, False]
+
     def test_reset_data_memo_forces_the_slow_path(self):
         hierarchy = _hierarchy(1)
         hierarchy.data_probe(0, BLOCK, False, 0)
@@ -196,3 +237,205 @@ class TestProbeEquivalence:
         warming_state.pop("dram")
         reference_state.pop("dram")
         assert warming_state == reference_state
+
+
+# ---------------------------------------------------------------------------
+# Whole simulations against the memo-less reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", sorted(dict(corpus_specs())))
+def test_memoless_reference_reproduces_golden_stats(key, memoless_hierarchy):
+    """Every golden workload, replayed without the memo, matches the pins.
+
+    ``tests/regression/test_golden_stats.py`` pins the memoized path against
+    the same file, so the memo and the per-access path are transitively
+    bit-identical on single-threaded, multi-program, multi-threaded and
+    many-core workloads alike.
+    """
+    session = dict(corpus_specs())[key]
+    assert session.run().stats.deterministic_dict() == GOLDEN[key]
+
+
+def _same_line_trace(count: int, thread_id: int = 0, base: int = 0x8000) -> ThreadTrace:
+    """ALU/memory mix whose memory ops all live on one L1d line.
+
+    Every odd position is a memory op on the ``base`` line, one store per
+    eight, so the memo serves long stretches of repeat loads and stores
+    through both the read-only and the Modified-upgrade paths.
+    """
+    instructions = []
+    for seq in range(count):
+        pc = 0x1000 + 4 * (seq % 64)
+        if seq % 2 == 0:
+            instructions.append(
+                Instruction(seq=seq, pc=pc, klass=InstructionClass.INT_ALU, dst_reg=1)
+            )
+        else:
+            klass = (
+                InstructionClass.STORE if seq % 16 == 7 else InstructionClass.LOAD
+            )
+            instructions.append(
+                Instruction(seq=seq, pc=pc, klass=klass, mem_addr=base + 4 * (seq % 8))
+            )
+    return ThreadTrace(instructions, thread_id=thread_id)
+
+
+def _run_crafted(simulator: str):
+    workload = Workload(name="same-line", traces=[_same_line_trace(4000)])
+    return (
+        Session()
+        .simulator(simulator)
+        .workload(workload)
+        .max_cycles(50_000_000)
+        .run()
+    )
+
+
+@pytest.mark.parametrize("simulator", ["interval", "oneipc", "detailed"])
+def test_same_line_workload_matches_memoless_reference(simulator, request):
+    memoized = _run_crafted(simulator)
+    request.getfixturevalue("memoless_hierarchy")
+    reference = _run_crafted(simulator)
+    assert (
+        memoized.stats.deterministic_dict() == reference.stats.deterministic_dict()
+    )
+
+
+def _run_shared_line(simulator: str, warmup: int = 0):
+    """Two threads on two cores, both loading and storing one line."""
+    workload = Workload(
+        name="shared-line",
+        traces=[
+            _same_line_trace(3000, thread_id=0),
+            _same_line_trace(3000, thread_id=1, base=0x8020),
+        ],
+        kind="multithreaded",
+    )
+    return (
+        Session()
+        .cores(2)
+        .simulator(simulator)
+        .workload(workload)
+        .warmup(warmup)
+        .max_cycles(50_000_000)
+        .run()
+    )
+
+
+@pytest.mark.parametrize("simulator", ["interval", "oneipc", "detailed"])
+def test_shared_line_threads_match_memoless_reference(simulator, request):
+    """Remote stores keep invalidating the memoized line mid-run."""
+    memoized = _run_shared_line(simulator)
+    assert memoized.stats.memory_stats["coherence_invalidations"] > 10
+    request.getfixturevalue("memoless_hierarchy")
+    reference = _run_shared_line(simulator)
+    assert (
+        memoized.stats.deterministic_dict() == reference.stats.deterministic_dict()
+    )
+
+
+@pytest.mark.parametrize("simulator", ["interval", "oneipc", "detailed"])
+def test_shared_line_warmup_matches_memoless_reference(simulator, request):
+    """Functional warm-up (``warm_data``) hands the timing run the same state."""
+    memoized = _run_shared_line(simulator, warmup=1500)
+    request.getfixturevalue("memoless_hierarchy")
+    reference = _run_shared_line(simulator, warmup=1500)
+    assert (
+        memoized.stats.deterministic_dict() == reference.stats.deterministic_dict()
+    )
+
+
+def _remote_writer_trace() -> ThreadTrace:
+    """A brief thread that stores to core 0's memoized line mid-flight."""
+    instructions = [
+        Instruction(seq=seq, pc=0x9000 + 4 * seq, klass=InstructionClass.INT_ALU, dst_reg=1)
+        for seq in range(100)
+    ]
+    instructions.append(
+        Instruction(seq=100, pc=0x9190, klass=InstructionClass.STORE, mem_addr=0x8000)
+    )
+    for seq in range(101, 140):
+        instructions.append(
+            Instruction(seq=seq, pc=0x9000 + 4 * seq, klass=InstructionClass.INT_ALU, dst_reg=1)
+        )
+    return ThreadTrace(instructions, thread_id=1)
+
+
+def _drive_two_cores(hierarchy_class):
+    """Manually interleave two interval cores in small driver slices.
+
+    Core 0 hammers one line; core 1 idles briefly, then stores to it.
+    Slicing ``simulate_interval`` at a few cycles lands the remote write
+    (and its epoch bump) *between* core 0's slices while core 0's memo
+    still names the line — the case the epoch compare exists for.
+    """
+    config = default_machine_config(num_cores=2)
+    hierarchy = hierarchy_class(config)
+    traces = [_same_line_trace(4000, thread_id=0), _remote_writer_trace()]
+    cores = []
+    for core_id, trace in enumerate(traces):
+        core = IntervalCore(
+            core_id=core_id,
+            config=config,
+            hierarchy=hierarchy,
+            predictor=create_branch_predictor(
+                config.core.branch_predictor,
+                perfect=config.perfect.branch_predictor,
+            ),
+            stats=CoreStats(core_id=core_id),
+            sync=None,
+        )
+        core.bind_thread(trace.cursor(), core_id)
+        cores.append(core)
+    run_until = 0
+    while not all(core.finished for core in cores):
+        run_until += 3
+        assert run_until < 100_000, "two-core drive failed to terminate"
+        for core in cores:
+            if not core.finished:
+                core.simulate_interval(run_until)
+    return cores, hierarchy
+
+
+def _snapshot(cores, hierarchy):
+    """Every core's statistics plus the D-side structures' state."""
+    return {
+        "cores": [core.stats.as_dict() for core in cores],
+        "l1d": [
+            sorted(
+                (index, line.tag, int(line.state))
+                for index, line in cache.resident_lines()
+            )
+            for cache in hierarchy.l1d
+        ],
+        "l1d_stats": [
+            (c.stats.accesses, c.stats.misses, c.stats.evictions, c.stats.writebacks)
+            for c in hierarchy.l1d
+        ],
+        "dtlb": [(t.stats.accesses, t.stats.misses) for t in hierarchy.dtlb],
+        "l2": (hierarchy.l2.stats.accesses, hierarchy.l2.stats.misses),
+        "coherence": (
+            hierarchy.coherence.stats.read_requests,
+            hierarchy.coherence.stats.write_requests,
+            hierarchy.coherence.stats.upgrades,
+            hierarchy.coherence.stats.cache_to_cache_transfers,
+            hierarchy.coherence.stats.invalidations_sent,
+            hierarchy.coherence.stats.writebacks,
+        ),
+        "epochs": list(hierarchy.coherence.epochs),
+        "dram": hierarchy.dram.stats.accesses,
+    }
+
+
+def test_remote_write_between_slices_matches_memoless_reference(memoless_hierarchy):
+    memo_cores, memo_hierarchy = _drive_two_cores(MemoryHierarchy)
+    # The remote store invalidated core 0's line (bumping its epoch) after
+    # core 0 had memoized it: core 0 must have missed on it again.
+    assert memo_hierarchy.coherence.epochs[0] >= 1
+    assert memo_cores[0].stats.l1d_misses >= 2
+    ref_cores, ref_hierarchy = _drive_two_cores(memoless_hierarchy)
+    assert _snapshot(memo_cores, memo_hierarchy) == _snapshot(
+        ref_cores, ref_hierarchy
+    )
+
